@@ -19,12 +19,33 @@ Interpolation is done entirely over the integers: every division in the
 back-substitution below is exact for any integer inputs, so modular operands
 are lifted to plain integers on entry and reduced mod q once at the end.
 An inexact division can only mean a bug and raises InternalArithmeticError.
+
+The base case (n <= base_cutoff) is one Kronecker-substituted big-integer
+product (Harvey, JSC 2009): each signed vector is packed into one Python int
+with signed 64-bit slots, the two ints are multiplied once, and the slots of
+the result are the product coefficients.  It returns and counts exactly what
+the schoolbook row loop does; when the coefficients are too large for the
+slots it runs that row loop instead.
+
+Operands of unequal length are multiplied block-wise, like GMP's unbalanced
+Toom (Bodrato & Zanoni, ISSAC 2007): the longer one, of length L, is cut
+into ceil(L/ls) blocks the length ls of the shorter one (only the last block
+is zero-padded), each block goes through the engine against the shorter
+operand, and the block products are summed at offsets j*ls.  So for unequal
+lengths
+
+    fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
+
+and equal lengths are one block, counted exactly as before.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add as _add, sub as _sub
 
 from .errors import InternalArithmeticError, InvalidInputError, InvalidPlanError
@@ -132,10 +153,10 @@ def _vsub(x, y, counter):
 
 
 def _vexact_div(x, d, counter):
-    if any(v % d for v in x):
+    if any(map(d.__rmod__, x)):
         raise InternalArithmeticError(
             f"interpolation division by {d} left a remainder")
-    return [v // d for v in x]
+    return list(map(d.__rfloordiv__, x))
 
 
 def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
@@ -288,6 +309,46 @@ def _recombine_raw(slices, stride, out_len, counter):
     return out
 
 
+#: Kronecker slots are signed 64-bit array items; a slot holds any value v
+#: with |v| < _SLOT_BOUND = 2^63.
+_SLOT_BYTES = array("q").itemsize
+_SLOT_BOUND = 1 << (8 * _SLOT_BYTES - 1)
+
+
+@lru_cache(maxsize=256)
+def _top_bits(n: int) -> int:
+    """sum(_SLOT_BOUND << (64 * i) for i < n): the top bit of n slots."""
+    return int.from_bytes(array("Q", [_SLOT_BOUND]) * n, sys.byteorder)
+
+
+def _kronecker_coeffs(a: list[int], b: list[int],
+                      counter: OperationCounter) -> list[int]:
+    """What _schoolbook_coeffs(a, b, counter) returns, by one int product.
+
+    Packs A = sum a_i 2^(64i) and B likewise, and reads the coefficients
+    of A*B back out of its 64-bit slots.  Every product coefficient has
+    |c| <= max|a| * max|b| * min(la, lb); while that is below 2^63 each
+    slot of A*B + offsets holds c + 2^63 with no carry into the next, and
+    flipping the slots' top bits turns c + 2^63 into c in two's complement
+    (and back, when packing).  Larger values take the schoolbook row loop.
+    Counts exactly what the row loop counts.
+    """
+    la, lb = len(a), len(b)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    if max(ma, mb, ma * mb * min(la, lb)) >= _SLOT_BOUND:
+        return _schoolbook_coeffs(a, b, counter)
+    lc = la + lb - 1
+    oa, ob, oc = _top_bits(la), _top_bits(lb), _top_bits(lc)
+    order = sys.byteorder
+    pa = (int.from_bytes(array("q", a), order) ^ oa) - oa
+    pb = (int.from_bytes(array("q", b), order) ^ ob) - ob
+    packed = (pa * pb + oc) ^ oc
+    counter.add_mults(la * lb)
+    counter.add_adds(la * lb - lc)
+    slots = memoryview(packed.to_bytes(lc * _SLOT_BYTES, order)).cast("q")
+    return slots.tolist()
+
+
 def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
                  counter: OperationCounter) -> list[int]:
     """Recursive k-way product of two equal-length vectors.
@@ -298,7 +359,7 @@ def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
     """
     n = len(a)
     if n <= cutoff:
-        return _schoolbook_coeffs(a, b, counter)
+        return _kronecker_coeffs(a, b, counter)
     m = -(-n // k)
     padded = m * k
     if padded != n:
@@ -316,14 +377,40 @@ def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
     return out[:2 * n - 1] if padded != n else out
 
 
-def _lift_pair(a: Polynomial, b: Polynomial) -> tuple[list[int], list[int], int | None]:
-    """Ring-check two operands and pad the shorter to the longer length."""
+def _blocks(a: Polynomial, b: Polynomial
+            ) -> tuple[list[list[int]], list[int], int | None]:
+    """Ring-check two operands and cut the longer into blocks of the shorter.
+
+    Returns (blocks, short, modulus): every block has len(short)
+    coefficients and only the last is zero-padded.  Equal lengths give one
+    block.
+    """
     a._check_ring(b)
-    av, bv = list(a.coeffs), list(b.coeffs)
-    n = max(len(av), len(bv))
-    av += [0] * (n - len(av))
-    bv += [0] * (n - len(bv))
-    return av, bv, a.modulus
+    long, short = list(a.coeffs), list(b.coeffs)
+    if len(long) < len(short):
+        long, short = short, long
+    ls = len(short)
+    blocks = [long[i:i + ls] for i in range(0, len(long), ls)]
+    blocks[-1] += [0] * (ls - len(blocks[-1]))
+    return blocks, short, a.modulus
+
+
+def _join_blocks(products: list[list[int]], ls: int,
+                 counter: OperationCounter) -> list[int]:
+    """Sum block products placed at offsets 0, ls, 2*ls, ...
+
+    Adds onto an already-written coefficient are counted, as in
+    _recombine_raw; one block costs no additions.
+    """
+    return _recombine_raw(products, ls, (len(products) + 1) * ls - 1, counter)
+
+
+def _block_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
+               counter: OperationCounter) -> Polynomial:
+    """The k-way engine product of two operands of any lengths."""
+    blocks, short, q = _blocks(a, b)
+    products = [_toom_engine(x, short, k, cutoff, counter) for x in blocks]
+    return Polynomial(_join_blocks(products, len(short), counter), q)
 
 
 def karatsuba_mul(a: Polynomial, b: Polynomial,
@@ -341,8 +428,7 @@ def karatsuba_mul(a: Polynomial, b: Polynomial,
         raise InvalidPlanError(f"plan method is {plan.method!r}, expected karatsuba")
     if counter is None:
         counter = OperationCounter()
-    av, bv, q = _lift_pair(a, b)
-    return Polynomial(_toom_engine(av, bv, 2, plan.base_cutoff, counter), q)
+    return _block_mul(a, b, 2, plan.base_cutoff, counter)
 
 
 def toomcook_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
@@ -357,8 +443,7 @@ def toomcook_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
         raise InvalidPlanError(f"plan method is {plan.method!r}, expected toom")
     if counter is None:
         counter = OperationCounter()
-    av, bv, q = _lift_pair(a, b)
-    return Polynomial(_toom_engine(av, bv, plan.k, plan.base_cutoff, counter), q)
+    return _block_mul(a, b, plan.k, plan.base_cutoff, counter)
 
 
 def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,

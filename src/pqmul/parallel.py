@@ -12,7 +12,12 @@ count and every scheduling of the pool.
 Worker pools are processes (not threads) so the coefficient arithmetic runs
 on separate cores; pools are created lazily per worker count and reused
 across calls.  workers values above the host core count are permitted but
-merely oversubscribe the machine.
+merely oversubscribe the machine.  A pool whose worker died (killed, out of
+memory) is evicted and rebuilt once; if the rebuilt pool breaks too, the
+call raises ResourceError.
+
+Unequal operand lengths are cut into blocks of the shorter length, as in the
+sequential path, and the leaves of every block go out in one batch.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ResourceError
@@ -27,9 +33,10 @@ from .multipliers import (
     KARATSUBA,
     SCHOOLBOOK,
     MethodPlan,
+    _blocks,
     _evaluate_raw,
     _interpolate_raw,
-    _lift_pair,
+    _join_blocks,
     _recombine_raw,
     _toom_engine,
     multiply,
@@ -74,6 +81,14 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         return pool
 
 
+def _evict_pool(workers: int, pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool from the cache unless another call already did."""
+    with _pools_lock:
+        if _pools.get(workers) is pool:
+            del _pools[workers]
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 def shutdown_pools() -> None:
     """Tear down all cached worker pools (tests, interpreter exit)."""
     with _pools_lock:
@@ -93,6 +108,24 @@ def _run_batch(tasks):
         vec = _toom_engine(a, b, k, cutoff, counter)
         out.append((vec, counter.fundamental_mults, counter.fundamental_adds))
     return out
+
+
+def _dispatch(pool, leaves, workers):
+    """Run the leaves on the pool, leaf i on worker i mod workers.
+
+    Returns (vec, mults, adds) per leaf, in leaf order.
+    """
+    batches = []  # (leaf indices, future)
+    for w in range(workers):
+        indices = list(range(w, len(leaves), workers))
+        if indices:
+            batch = [leaves[i] for i in indices]
+            batches.append((indices, pool.submit(_run_batch, batch)))
+    results: list = [None] * len(leaves)
+    for indices, future in batches:
+        for i, result in zip(indices, future.result()):
+            results[i] = result
+    return results
 
 
 def _expand(a, b, k, cutoff, depth, counter, leaves):
@@ -137,8 +170,9 @@ def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
 
     The returned polynomial and counter totals are identical to the
     sequential toomcook_mul/karatsuba_mul run for the same plan, whatever
-    the worker count or scheduling.  Pool creation failure raises
-    ResourceError; it is never silently downgraded to sequential.
+    the worker count or scheduling.  Pool creation failure, or a pool that
+    breaks again after one rebuild, raises ResourceError; neither is
+    silently downgraded to sequential.
     """
     if cfg is None:
         cfg = ParallelConfig(workers=plan.workers)
@@ -149,25 +183,28 @@ def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
         return multiply(a, b, plan, counter), counter
 
     k = 2 if plan.method == KARATSUBA else plan.k
-    av, bv, q = _lift_pair(a, b)
+    blocks, short, q = _blocks(a, b)
     leaves: list = []
-    tree = _expand(av, bv, k, plan.base_cutoff, cfg.parallel_depth,
-                   counter, leaves)
+    trees = [_expand(x, short, k, plan.base_cutoff, cfg.parallel_depth,
+                     counter, leaves) for x in blocks]
 
-    pool = _get_pool(cfg.workers)
-    batches = []  # (leaf indices, future)
-    for w in range(cfg.workers):
-        indices = list(range(w, len(leaves), cfg.workers))
-        if indices:
-            batch = [leaves[i] for i in indices]
-            batches.append((indices, pool.submit(_run_batch, batch)))
+    for attempt in (1, 2):
+        pool = _get_pool(cfg.workers)
+        try:
+            results = _dispatch(pool, leaves, cfg.workers)
+            break
+        except BrokenProcessPool as exc:
+            _evict_pool(cfg.workers, pool)
+            if attempt == 2:
+                raise ResourceError(
+                    f"the {cfg.workers}-worker pool broke again after a "
+                    f"rebuild: {exc}") from exc
 
-    products: list = [None] * len(leaves)
-    for indices, future in batches:
-        for i, (vec, mults, adds) in zip(indices, future.result()):
-            products[i] = vec
-            counter.add_mults(mults)
-            counter.add_adds(adds)
-
-    out = _combine(tree, products, k, counter)
-    return Polynomial(out, q), counter
+    products = []
+    for vec, mults, adds in results:
+        products.append(vec)
+        counter.add_mults(mults)
+        counter.add_adds(adds)
+    block_products = [_combine(t, products, k, counter) for t in trees]
+    return Polynomial(_join_blocks(block_products, len(short), counter),
+                      q), counter

@@ -16,6 +16,7 @@ import json
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import CoverageError, InvalidInputError, InvalidPlanError, ScenarioError
@@ -51,13 +52,10 @@ class MecNode:
             prev_t = t
 
     def load_at(self, t_ms: float) -> float:
-        current = self.load_trace[0][1]
-        for bt, load in self.load_trace:
-            if bt <= t_ms:
-                current = load
-            else:
-                break
-        return current
+        """Load of the last breakpoint at or before t_ms (first if none)."""
+        # loads are finite, so (t_ms, inf) sorts after every (t_ms, load)
+        i = bisect_right(self.load_trace, (t_ms, math.inf))
+        return self.load_trace[i - 1][1] if i else self.load_trace[0][1]
 
 
 @dataclass(frozen=True)

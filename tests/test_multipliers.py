@@ -8,7 +8,9 @@ for operation counts.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import pqmul.multipliers
 from pqmul import (
     EVALUATION_POINTS,
     InternalArithmeticError,
@@ -27,6 +29,8 @@ from pqmul import (
     split,
     toomcook_mul,
 )
+from pqmul.multipliers import _kronecker_coeffs
+from pqmul.poly import _schoolbook_coeffs
 
 
 def reference_count(n: int, k: int, cutoff: int) -> int:
@@ -319,3 +323,86 @@ class TestRecursionDepth:
 
     def test_cutoff_clamps(self):
         assert recursion_depth(MethodPlan.karatsuba(base_cutoff=32), 16) == 0
+
+
+# ---------------------------------------------------------------------------
+# packed base case and unbalanced operands (property tests)
+# ---------------------------------------------------------------------------
+
+#: Fixed-seed Hypothesis runs, so every host tries the same examples.
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+PLANS = [MethodPlan.karatsuba(base_cutoff=1), MethodPlan.karatsuba(),
+         MethodPlan.toom(3, base_cutoff=1), MethodPlan.toom(3),
+         MethodPlan.toom(4, base_cutoff=1), MethodPlan.toom(4)]
+
+
+@st.composite
+def signed_leaf_operands(draw):
+    """Two signed vectors of length 1-16 whose largest magnitudes are
+    2^bits_a and 2^bits_b, so max|a| * max|b| * min(la, lb) lands on
+    either side of the 2^63 slot bound; either may be all zero."""
+    def vector(length):
+        bits = draw(st.integers(0, 40))
+        v = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
+                          min_size=length, max_size=length))
+        if draw(st.booleans()):
+            return [0] * length
+        sign = draw(st.sampled_from((-1, 1)))
+        v[draw(st.integers(0, length - 1))] = sign << bits
+        return v
+    return vector(draw(st.integers(1, 16))), vector(draw(st.integers(1, 16)))
+
+
+class TestPackedLeaf:
+    @PROPERTY
+    @given(signed_leaf_operands())
+    @example(([2 ** 29] * 16, [-(2 ** 29)] * 16))        # 2^62: packed
+    @example(([2 ** 30] * 16, [2 ** 29] * 16))           # 2^63: row loop
+    @example(([0] * 3, [2 ** 70, -1]))                   # zero times huge
+    @example(([-(2 ** 63)], [0]))
+    def test_matches_row_loop(self, operands):
+        a, b = operands
+        packed, rows = OperationCounter(), OperationCounter()
+        got = _kronecker_coeffs(a, b, packed)
+        assert got == _schoolbook_coeffs(a, b, rows)
+        assert packed == rows
+
+    def test_largest_reduced_operands_fit_the_slots(self, monkeypatch):
+        """All-(q-1) operands give the largest leaf values of any reduced
+        operands of their length and modulus; at N = 1024, q = 2^13 and
+        cutoff 16 they still fit the 64-bit slots."""
+        def row_loop(*args):
+            raise AssertionError("packed leaf fell back to the row loop")
+
+        q = 8192
+        a = Polynomial([q - 1] * 1024, q)
+        ref = schoolbook_mul(a, a)
+        monkeypatch.setattr(pqmul.multipliers, "_schoolbook_coeffs", row_loop)
+        for plan in (MethodPlan.karatsuba(), MethodPlan.toom(3),
+                     MethodPlan.toom(4)):
+            assert multiply(a, a, plan) == ref
+
+
+class TestEngineProperties:
+    @PROPERTY
+    @given(st.sampled_from([None, 4096, 8192]),
+           st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=1, max_size=150),
+           st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=1, max_size=150),
+           st.sampled_from(PLANS))
+    def test_products_match_schoolbook(self, q, a, b, plan):
+        pa, pb = Polynomial(a, q), Polynomial(b, q)
+        assert multiply(pa, pb, plan) == schoolbook_mul(pa, pb)
+
+    @PROPERTY
+    @given(st.integers(1, 200), st.integers(1, 200), st.sampled_from(PLANS),
+           st.integers(0, 2 ** 31))
+    def test_unequal_length_count_law(self, la, lb, plan, seed):
+        a = Polynomial.random(la, 30, seed) if la > 1 else Polynomial([3])
+        b = Polynomial.random(lb, 30, seed + 1) if lb > 1 else Polynomial([5])
+        long, short = max(la, lb), min(la, lb)
+        c = OperationCounter()
+        multiply(a, b, plan, c)
+        assert c.fundamental_mults == \
+            -(-long // short) * predicted_mult_count(plan, short)

@@ -1,8 +1,13 @@
 """Parallel subproduct execution: schedule independence, exact counters."""
 
+import os
 import random
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pqmul.parallel
 from pqmul import (
@@ -152,3 +157,62 @@ class TestPoolFailure:
         b = Polynomial.random(40, 50, seed=17)
         with pytest.raises(ResourceError):
             parallel_mul(a, b, MethodPlan.toom(3, workers=2, base_cutoff=4))
+
+    def test_killed_worker_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(pqmul.parallel, "_pools", {})
+        a = Polynomial.random(120, 4096, seed=22, modulus=4096)
+        b = Polynomial.random(120, 4096, seed=23, modulus=4096)
+        plan = MethodPlan.toom(3, workers=2, base_cutoff=8)
+        expected = schoolbook_mul(a, b)
+        try:
+            assert parallel_mul(a, b, plan)[0] == expected
+            pool = pqmul.parallel._pools[2]
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=30)
+            assert parallel_mul(a, b, plan)[0] == expected
+            assert pqmul.parallel._pools[2] is not pool
+        finally:
+            pqmul.parallel.shutdown_pools()
+
+    def test_pool_that_breaks_again_raises_resource_error(self, monkeypatch):
+        created = []
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                created.append(self)
+
+            def submit(self, fn, *args):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(pqmul.parallel, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(pqmul.parallel, "_pools", {})
+        a = Polynomial.random(40, 50, seed=24)
+        b = Polynomial.random(40, 50, seed=25)
+        with pytest.raises(ResourceError):
+            parallel_mul(a, b, MethodPlan.toom(3, workers=2, base_cutoff=4))
+        assert len(created) == 2
+        assert pqmul.parallel._pools == {}
+
+
+class TestUnequalLengths:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(1, 150), st.integers(1, 150),
+           st.sampled_from([MethodPlan.karatsuba(base_cutoff=4),
+                            MethodPlan.toom(3, base_cutoff=4),
+                            MethodPlan.toom(4, base_cutoff=4)]),
+           st.sampled_from([2, 3]), st.integers(1, 2), st.integers(0, 2 ** 31))
+    def test_counters_match_sequential(self, la, lb, plan, workers, depth,
+                                       seed):
+        a = Polynomial.random(la, 4096, seed) if la > 1 else Polynomial([3])
+        b = Polynomial.random(lb, 4096, seed + 1) if lb > 1 \
+            else Polynomial([5])
+        seq_counter = OperationCounter()
+        seq = multiply(a, b, plan, seq_counter)
+        got, counter = parallel_mul(
+            a, b, plan, ParallelConfig(workers=workers, parallel_depth=depth))
+        assert got == seq
+        assert counter == seq_counter

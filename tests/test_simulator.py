@@ -1,6 +1,7 @@
 """Handover simulator: determinism, conservation, policy behavior, I/O."""
 
 import json
+import random
 
 import pytest
 
@@ -250,3 +251,27 @@ class TestScenarioFiles:
         path = tmp_path / "s.json"
         save_scenario(scenario, path)
         assert load_scenario(path).fixed_plan == TOOM_PAR
+
+
+def linear_load_at(trace, t_ms):
+    """The original linear scan over the breakpoints (test-side oracle)."""
+    current = trace[0][1]
+    for bt, load in trace:
+        if bt <= t_ms:
+            current = load
+        else:
+            break
+    return current
+
+
+def test_load_at_matches_linear_scan():
+    rng = random.Random(31)
+    for _ in range(60):
+        times = [0.0] + sorted(rng.sample(range(1, 100_000),
+                                          rng.randint(0, 60)))
+        node = MecNode(cores=2, load_trace=[(t, rng.uniform(0, 100))
+                                            for t in times])
+        between = [(x + y) / 2 for x, y in zip(times, times[1:])]
+        after = [times[-1] + 0.5, 1e12]
+        for t in times + between + after + [-1.0]:
+            assert node.load_at(t) == linear_load_at(node.load_trace, t), t
