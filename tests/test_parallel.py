@@ -4,7 +4,7 @@ import os
 import random
 import signal
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
+from multiprocessing import connection
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,7 +169,7 @@ class TestPoolFailure:
             pool = pqmul.parallel._pools[2]
             victim = next(iter(pool._processes.values()))
             os.kill(victim.pid, signal.SIGKILL)
-            assert wait([victim.sentinel], timeout=30)
+            assert connection.wait([victim.sentinel], timeout=30)
             assert parallel_mul(a, b, plan)[0] == expected
             assert pqmul.parallel._pools[2] is not pool
         finally:
