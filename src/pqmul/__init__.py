@@ -50,7 +50,7 @@ from .multipliers import (
     split,
     toomcook_mul,
 )
-from .parallel import ParallelConfig, parallel_mul, shutdown_pools
+from .parallel import parallel_mul, shutdown_pools
 from .policy import (
     LoadSmoother,
     RuleEntry,
@@ -59,7 +59,6 @@ from .policy import (
     TimeModel,
     calibrate,
     load_rules,
-    predict_time,
     save_rules,
     select_method,
 )

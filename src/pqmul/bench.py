@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, InvalidInputError, TimerResolutionError
 from .loadgen import DEFAULT_PERIOD_MS, LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan
-from .parallel import ParallelConfig, parallel_mul
-from .poly import Polynomial
+from .parallel import parallel_mul
+from .poly import Polynomial, derive_seed
 
 #: Coefficient bound for generated operands when no modulus is given
 #: (matches the CLI's default modulus).
@@ -101,16 +101,6 @@ class CellStats:
     mult_count: int
 
 
-def _derive_seed(base: int, *indices: int) -> int:
-    # splitmix-style mixing; must not depend on Python's salted hash()
-    h = base & 0xFFFFFFFFFFFFFFFF
-    for i in indices:
-        h = (h ^ (i + 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-        h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 31
-    return h
-
-
 def _check_timer() -> None:
     info = time.get_clock_info("perf_counter")
     if info.resolution > 1e-6:
@@ -138,20 +128,19 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
                 handle = start_load(LoadProfile(
                     spec.loaded_workers, load, DEFAULT_PERIOD_MS))
                 try:
-                    cfg = ParallelConfig(workers=plan.workers)
                     for warm in range(WARMUP_RUNS):
-                        a = Polynomial.random(degree, bound, _derive_seed(
+                        a = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, 10_000 + warm, 0), spec.modulus)
-                        b = Polynomial.random(degree, bound, _derive_seed(
+                        b = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, 10_000 + warm, 1), spec.modulus)
-                        parallel_mul(a, b, plan, cfg)
+                        parallel_mul(a, b, plan)
                     for run in range(spec.runs):
-                        a = Polynomial.random(degree, bound, _derive_seed(
+                        a = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, run, 0), spec.modulus)
-                        b = Polynomial.random(degree, bound, _derive_seed(
+                        b = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, run, 1), spec.modulus)
                         t0 = time.perf_counter_ns()
-                        _, counter = parallel_mul(a, b, plan, cfg)
+                        _, counter = parallel_mul(a, b, plan)
                         elapsed = time.perf_counter_ns() - t0
                         records.append(BenchmarkRecord(
                             method=plan.method, k=plan.k, workers=plan.workers,

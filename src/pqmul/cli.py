@@ -38,10 +38,10 @@ from .multipliers import (
     multiply,
     predicted_mult_count,
 )
-from .parallel import ParallelConfig, parallel_mul
+from .parallel import parallel_mul
 from .policy import TimeModel, calibrate, load_rules, save_rules, select_method
 from .policy import SystemState
-from .poly import OperationCounter, Polynomial, schoolbook_mul
+from .poly import OperationCounter, Polynomial, derive_seed, schoolbook_mul
 from .simulator import load_scenario, render_report, run_simulation
 
 EXIT_OK = 0
@@ -131,12 +131,12 @@ class LiveTimer:
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
         bound = self._modulus if self._modulus is not None else 4096
         self._calls += 1
-        a = Polynomial.random(degree, bound, self._seed * 2 + self._calls * 7919,
+        a = Polynomial.random(degree, bound, derive_seed(self._seed, self._calls, 0),
                               self._modulus)
-        b = Polynomial.random(degree, bound, self._seed * 2 + self._calls * 7919 + 1,
+        b = Polynomial.random(degree, bound, derive_seed(self._seed, self._calls, 1),
                               self._modulus)
         t0 = time.perf_counter_ns()
-        parallel_mul(a, b, plan, ParallelConfig(workers=plan.workers))
+        parallel_mul(a, b, plan)
         return float(time.perf_counter_ns() - t0)
 
 
@@ -148,11 +148,7 @@ def cmd_multiply(args) -> int:
     plan = _plan_from_flags(args)
     a = _parse_poly(args.a, args.modulus)
     b = _parse_poly(args.b, args.modulus)
-    counter = OperationCounter()
-    if plan.workers > 1:
-        result, counter = parallel_mul(a, b, plan)
-    else:
-        result = multiply(a, b, plan, counter)
+    result, counter = parallel_mul(a, b, plan)
     reference = schoolbook_mul(a, b)
     if result != reference:
         print(f"self-check failure: {plan.label} disagrees with schoolbook",
@@ -181,9 +177,9 @@ def cmd_count_check(args) -> int:
             plan = MethodPlan.karatsuba(base_cutoff=1)
         else:
             plan = MethodPlan.toom(k=args.k, base_cutoff=1)
-        a = Polynomial.random(n, 64, args.seed * 2 + n, args.modulus) \
+        a = Polynomial.random(n, 64, derive_seed(args.seed, n, 0), args.modulus) \
             if n > 1 else Polynomial([1], args.modulus)
-        b = Polynomial.random(n, 64, args.seed * 2 + n + 1, args.modulus) \
+        b = Polynomial.random(n, 64, derive_seed(args.seed, n, 1), args.modulus) \
             if n > 1 else Polynomial([1], args.modulus)
         counter = OperationCounter()
         multiply(a, b, plan, counter)

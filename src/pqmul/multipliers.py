@@ -36,7 +36,9 @@ lengths
 
     fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
 
-and equal lengths are one block, counted exactly as before.
+and equal lengths are one block.  Every product, sequential or parallel,
+goes through the one entry point _engine_mul; only the pair runner it is
+given decides where the top-level subproducts run.
 """
 
 from __future__ import annotations
@@ -174,20 +176,29 @@ def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
     return [coeffs[i * m:(i + 1) * m] for i in range(k)]
 
 
-def recompose(parts: list[list[int]], stride: int) -> list[int]:
+def recompose(parts: list[list[int]], stride: int,
+              counter: OperationCounter | None = None) -> list[int]:
     """Sum part vectors placed at offsets 0, stride, 2*stride, ...
 
     Inverse of split when stride = part length; also recombines the
-    (overlapping) interpolation output slices, stride = original part length.
+    (overlapping) interpolation output slices, stride = original part length,
+    and the block products of unequal operands, stride = block length.  The
+    output has stride*(len(parts)-1)+len(parts[-1]) coefficients.  Only the
+    coefficients a part shares with earlier parts are added; with a counter,
+    each of those adds is counted.
     """
     if not parts:
         return [0]
-    out_len = stride * (len(parts) - 1) + len(parts[-1])
-    out = [0] * out_len
+    out: list[int] = []
     for i, part in enumerate(parts):
         base = i * stride
-        for j, v in enumerate(part):
-            out[base + j] += v
+        if base > len(out):
+            out += [0] * (base - len(out))
+        shared = min(len(out) - base, len(part))
+        out[base:base + shared] = map(_add, out[base:base + shared], part)
+        out += part[shared:]
+    if counter is not None:
+        counter.add_adds(sum(map(len, parts)) - len(out))
     return out
 
 
@@ -297,18 +308,6 @@ def interpolate(pointwise_products: list[list[int]], k: int,
                             counter or OperationCounter())
 
 
-def _recombine_raw(slices, stride, out_len, counter):
-    out = [0] * out_len
-    writes = 0
-    for i, part in enumerate(slices):
-        base = i * stride
-        end = base + len(part)
-        out[base:end] = map(_add, out[base:end], part)
-        writes += len(part)
-    counter.add_adds(writes - out_len)
-    return out
-
-
 #: Kronecker slots are signed 64-bit array items; a slot holds any value v
 #: with |v| < _SLOT_BOUND = 2^63.
 _SLOT_BYTES = array("q").itemsize
@@ -349,6 +348,30 @@ def _kronecker_coeffs(a: list[int], b: list[int],
     return slots.tolist()
 
 
+def _split_evaluate(a: list[int], b: list[int], k: int,
+                    counter: OperationCounter) -> list[tuple[list[int], list[int]]]:
+    """One level down: zero-pad both vectors to a multiple of k, split and
+    evaluate them; returns the 2k-1 subproduct operand pairs."""
+    n = len(a)
+    m = -(-n // k)
+    if m * k != n:
+        pad = [0] * (m * k - n)
+        a = a + pad
+        b = b + pad
+    ev_a = _evaluate_raw([a[i * m:(i + 1) * m] for i in range(k)], k, counter)
+    ev_b = _evaluate_raw([b[i * m:(i + 1) * m] for i in range(k)], k, counter)
+    return list(zip(ev_a, ev_b))
+
+
+def _interpolate_recompose(products: list[list[int]], k: int, n: int,
+                           counter: OperationCounter) -> list[int]:
+    """One level up: the 2n-1 coefficients of a length-n product from the
+    2k-1 subproducts of the pairs _split_evaluate returned."""
+    m = -(-n // k)
+    out = recompose(_interpolate_raw(products, k, counter), m, counter)
+    return out[:2 * n - 1] if m * k != n else out
+
+
 def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
                  counter: OperationCounter) -> list[int]:
     """Recursive k-way product of two equal-length vectors.
@@ -360,30 +383,30 @@ def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
     n = len(a)
     if n <= cutoff:
         return _kronecker_coeffs(a, b, counter)
-    m = -(-n // k)
-    padded = m * k
-    if padded != n:
-        pad = [0] * (padded - n)
-        a = a + pad
-        b = b + pad
-    parts_a = [a[i * m:(i + 1) * m] for i in range(k)]
-    parts_b = [b[i * m:(i + 1) * m] for i in range(k)]
-    ev_a = _evaluate_raw(parts_a, k, counter)
-    ev_b = _evaluate_raw(parts_b, k, counter)
-    products = [_toom_engine(ev_a[i], ev_b[i], k, cutoff, counter)
-                for i in range(2 * k - 1)]
-    coeffs = _interpolate_raw(products, k, counter)
-    out = _recombine_raw(coeffs, m, 2 * padded - 1, counter)
-    return out[:2 * n - 1] if padded != n else out
+    products = [_toom_engine(x, y, k, cutoff, counter)
+                for x, y in _split_evaluate(a, b, k, counter)]
+    return _interpolate_recompose(products, k, n, counter)
 
 
-def _blocks(a: Polynomial, b: Polynomial
-            ) -> tuple[list[list[int]], list[int], int | None]:
-    """Ring-check two operands and cut the longer into blocks of the shorter.
+def _run_pairs(pairs: list[tuple[list[int], list[int]]], k: int, cutoff: int
+               ) -> tuple[list[list[int]], int, int]:
+    """In-process pair runner: (products, fundamental_mults, fundamental_adds).
 
-    Returns (blocks, short, modulus): every block has len(short)
-    coefficients and only the last is zero-padded.  Equal lengths give one
-    block.
+    parallel_mul's pool runner runs it on each worker's share of the pairs.
+    """
+    counter = OperationCounter()
+    products = [_toom_engine(a, b, k, cutoff, counter) for a, b in pairs]
+    return products, counter.fundamental_mults, counter.fundamental_adds
+
+
+def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
+                counter: OperationCounter, run_pairs=_run_pairs) -> Polynomial:
+    """The k-way engine product of two operands of any lengths.
+
+    Splits and evaluates the top level of every block, hands all operand
+    pairs to run_pairs(pairs, k, cutoff) in one call, then interpolates each
+    block and sums the block products; the result does not depend on where
+    run_pairs runs them.
     """
     a._check_ring(b)
     long, short = list(a.coeffs), list(b.coeffs)
@@ -392,25 +415,19 @@ def _blocks(a: Polynomial, b: Polynomial
     ls = len(short)
     blocks = [long[i:i + ls] for i in range(0, len(long), ls)]
     blocks[-1] += [0] * (ls - len(blocks[-1]))
-    return blocks, short, a.modulus
-
-
-def _join_blocks(products: list[list[int]], ls: int,
-                 counter: OperationCounter) -> list[int]:
-    """Sum block products placed at offsets 0, ls, 2*ls, ...
-
-    Adds onto an already-written coefficient are counted, as in
-    _recombine_raw; one block costs no additions.
-    """
-    return _recombine_raw(products, ls, (len(products) + 1) * ls - 1, counter)
-
-
-def _block_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
-               counter: OperationCounter) -> Polynomial:
-    """The k-way engine product of two operands of any lengths."""
-    blocks, short, q = _blocks(a, b)
-    products = [_toom_engine(x, short, k, cutoff, counter) for x in blocks]
-    return Polynomial(_join_blocks(products, len(short), counter), q)
+    if ls > cutoff:
+        pairs = [pair for x in blocks
+                 for pair in _split_evaluate(x, short, k, counter)]
+    else:
+        pairs = [(x, short) for x in blocks]
+    products, mults, adds = run_pairs(pairs, k, cutoff)
+    counter.add_mults(mults)
+    counter.add_adds(adds)
+    if ls > cutoff:
+        width = 2 * k - 1
+        products = [_interpolate_recompose(products[i:i + width], k, ls, counter)
+                    for i in range(0, len(products), width)]
+    return Polynomial(recompose(products, ls, counter), a.modulus)
 
 
 def karatsuba_mul(a: Polynomial, b: Polynomial,
@@ -428,7 +445,7 @@ def karatsuba_mul(a: Polynomial, b: Polynomial,
         raise InvalidPlanError(f"plan method is {plan.method!r}, expected karatsuba")
     if counter is None:
         counter = OperationCounter()
-    return _block_mul(a, b, 2, plan.base_cutoff, counter)
+    return _engine_mul(a, b, 2, plan.base_cutoff, counter)
 
 
 def toomcook_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
@@ -443,7 +460,7 @@ def toomcook_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
         raise InvalidPlanError(f"plan method is {plan.method!r}, expected toom")
     if counter is None:
         counter = OperationCounter()
-    return _block_mul(a, b, plan.k, plan.base_cutoff, counter)
+    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter)
 
 
 def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,

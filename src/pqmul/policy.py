@@ -299,10 +299,6 @@ class TimeModel:
             curves[key] = sorted(curve.items())
         return cls(curves)
 
-    def covered(self, plan: MethodPlan, degree: int) -> bool:
-        return (plan.method, plan.k, plan.workers,
-                plan.base_cutoff, degree) in self._curves
-
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
         """Estimated mean duration (ns); exact at sampled loads.
 
@@ -324,12 +320,6 @@ class TimeModel:
                 frac = (load_pct - l0) / (l1 - l0)
                 return t0 + frac * (t1 - t0)
         raise CoverageError(f"load {load_pct} not bracketed by {curve}")
-
-
-def predict_time(model: TimeModel, plan: MethodPlan, degree: int,
-                 load_pct: float) -> float:
-    """Module-level alias for TimeModel.predict."""
-    return model.predict(plan, degree, load_pct)
 
 
 class LoadSmoother:

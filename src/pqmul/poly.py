@@ -174,6 +174,20 @@ class Polynomial:
         return cls(coeffs, modulus)
 
 
+def derive_seed(base: int, *indices: int) -> int:
+    """A 64-bit seed mixed from a base seed and indices (splitmix style).
+
+    Deterministic across processes and runs: it must not depend on Python's
+    salted hash().
+    """
+    h = base & 0xFFFFFFFFFFFFFFFF
+    for i in indices:
+        h = (h ^ (i + 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+        h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 31
+    return h
+
+
 def _schoolbook_coeffs(a: list[int], b: list[int],
                        counter: OperationCounter) -> list[int]:
     """Raw O(n*m) product of two coefficient vectors (no normalization).

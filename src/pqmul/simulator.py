@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import CoverageError, InvalidInputError, InvalidPlanError, ScenarioError
 from .multipliers import MethodPlan
 from .policy import RuleTable, SystemState, select_method
+from .poly import derive_seed
 
 POLICY_MODES = ("rule_table", "fixed_plan")
 
@@ -119,12 +120,6 @@ class SimReport:
     policy_mode: str
 
 
-def _mix(seed: int, salt: int) -> int:
-    h = (seed & 0xFFFFFFFFFFFFFFFF) ^ (salt + 0x9E3779B97F4A7C15)
-    h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    return h ^ (h >> 31)
-
-
 def _p95(sorted_values: list[float]) -> float:
     if not sorted_values:
         return 0.0
@@ -148,7 +143,7 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     all_latencies: list[float] = []
 
     for v in range(scenario.vehicles):
-        rng = random.Random(_mix(scenario.seed, v))
+        rng = random.Random(derive_seed(scenario.seed, v))
         current = rng.randrange(n_mecs)
         latencies: list[float] = []
         t = rng.expovariate(1.0 / scenario.handover_interval_ms)

@@ -14,6 +14,7 @@ import functools
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from pqmul import (
     LoadProfile,
     MethodPlan,
     OperationCounter,
-    ParallelConfig,
     Polynomial,
     SystemState,
     TimeModel,
@@ -117,8 +117,7 @@ def test_criterion_1_oracle_equivalence():
             a = Polynomial.random(n_a, 4096, rng.randrange(2**63), modulus)
             b = Polynomial.random(n_b, 4096, rng.randrange(2**63), modulus)
             plan = combos[i % len(combos)]
-            result, _ = parallel_mul(a, b, plan,
-                                     ParallelConfig(workers=plan.workers))
+            result, _ = parallel_mul(a, b, plan)
             assert result == schoolbook_mul(a, b), \
                 f"{plan.label} disagrees at lengths ({n_a}, {n_b}), q={modulus}"
             checked += 1
@@ -175,12 +174,11 @@ def test_criterion_4_parallel_determinism():
         a = Polynomial.random(n, 4096, rng.randrange(2**63), modulus)
         b = Polynomial.random(n, 4096, rng.randrange(2**63), modulus)
         plan = plans[i % len(plans)]
-        baseline, base_counter = parallel_mul(a, b, plan,
-                                              ParallelConfig(workers=1))
+        baseline, base_counter = parallel_mul(a, b, replace(plan, workers=1))
         for workers in (1, 2, 3, 5, 8):
             for _ in range(5):
                 result, counter = parallel_mul(
-                    a, b, plan, ParallelConfig(workers=workers))
+                    a, b, replace(plan, workers=workers))
                 assert result == baseline
                 assert counter == base_counter
     return "100 inputs x workers {1,2,3,5,8} x 5 repeats"

@@ -82,10 +82,11 @@ class TestMultiply:
 
     def test_method_disagreement_exits_3(self, monkeypatch, capsys):
         import pqmul.cli as cli_mod
-        from pqmul import Polynomial
+        from pqmul import OperationCounter, Polynomial
 
-        monkeypatch.setattr(cli_mod, "multiply",
-                            lambda a, b, plan, counter: Polynomial([999]))
+        monkeypatch.setattr(cli_mod, "parallel_mul",
+                            lambda a, b, plan: (Polynomial([999]),
+                                                OperationCounter()))
         assert main(["multiply", "--method", "karatsuba",
                      "--a", "3,4", "--b", "1,2"]) == 3
         assert "self-check" in capsys.readouterr().err

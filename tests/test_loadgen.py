@@ -130,7 +130,7 @@ class TestMonotonicity:
         """Gated: needs at least one loadable worker and a quiet host."""
         import os
 
-        from pqmul import MethodPlan, ParallelConfig, Polynomial, parallel_mul
+        from pqmul import MethodPlan, Polynomial, parallel_mul
 
         flag = os.environ.get("PQMUL_PERF", "")
         if flag == "0" or (flag != "1" and usable_cpu_count() < 2):

@@ -3,6 +3,8 @@
 import os
 import random
 import signal
+from dataclasses import replace
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import connection
 
@@ -11,28 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 import pqmul.parallel
 from pqmul import (
-    InvalidInputError,
     MethodPlan,
     OperationCounter,
-    ParallelConfig,
     Polynomial,
     ResourceError,
+    evaluate_parts,
     multiply,
     parallel_mul,
     schoolbook_mul,
+    split,
 )
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = ParallelConfig()
-        assert cfg.workers == 1 and cfg.parallel_depth == 1
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            ParallelConfig(workers=0)
-        with pytest.raises(InvalidInputError):
-            ParallelConfig(parallel_depth=-1)
 
 
 class TestDegradation:
@@ -42,18 +32,8 @@ class TestDegradation:
         plan = MethodPlan.karatsuba(base_cutoff=4)
         seq_counter = OperationCounter()
         seq = multiply(a, b, plan, seq_counter)
-        got, counter = parallel_mul(a, b, plan, ParallelConfig(workers=1))
+        got, counter = parallel_mul(a, b, replace(plan, workers=1))
         assert got == seq
-        assert counter == seq_counter
-
-    def test_depth_zero_is_sequential(self):
-        a = Polynomial.random(60, 100, seed=3)
-        b = Polynomial.random(60, 100, seed=4)
-        plan = MethodPlan.toom(3, workers=5, base_cutoff=4)
-        got, counter = parallel_mul(a, b, plan,
-                                    ParallelConfig(workers=5, parallel_depth=0))
-        seq_counter = OperationCounter()
-        assert got == multiply(a, b, plan, seq_counter)
         assert counter == seq_counter
 
     def test_schoolbook_plan_passthrough(self):
@@ -69,12 +49,11 @@ class TestScheduleIndependence:
         a = Polynomial.random(123, 4096, seed=7, modulus=4096)
         b = Polynomial.random(123, 4096, seed=8, modulus=4096)
         plan = MethodPlan.toom(3, workers=5, base_cutoff=8)
-        baseline, base_counter = parallel_mul(a, b, plan,
-                                              ParallelConfig(workers=1))
+        baseline, base_counter = parallel_mul(a, b, replace(plan, workers=1))
         for workers in (1, 2, 3, 5, 8):
             for _ in range(3):
-                got, counter = parallel_mul(a, b, plan,
-                                            ParallelConfig(workers=workers))
+                got, counter = parallel_mul(a, b,
+                                            replace(plan, workers=workers))
                 assert got == baseline
                 assert counter == base_counter
 
@@ -82,7 +61,7 @@ class TestScheduleIndependence:
         a = Polynomial.random(729, 4096, seed=9)
         b = Polynomial.random(729, 4096, seed=10)
         plan = MethodPlan.toom(3, workers=5, base_cutoff=1)
-        got, counter = parallel_mul(a, b, plan, ParallelConfig(workers=5))
+        got, counter = parallel_mul(a, b, replace(plan, workers=5))
         assert counter.fundamental_mults == 15625
         seq_counter = OperationCounter()
         assert got == multiply(a, b, plan, seq_counter)
@@ -96,11 +75,9 @@ class TestScheduleIndependence:
                      MethodPlan.karatsuba(base_cutoff=4)):
             seq_counter = OperationCounter()
             seq = multiply(a, b, plan, seq_counter)
-            for depth in (1, 2, 3):
-                got, counter = parallel_mul(
-                    a, b, plan, ParallelConfig(workers=3, parallel_depth=depth))
-                assert got == seq
-                assert counter == seq_counter, (plan.label, depth)
+            got, counter = parallel_mul(a, b, replace(plan, workers=3))
+            assert got == seq
+            assert counter == seq_counter, plan.label
 
     def test_karatsuba_parallel_mode(self):
         a = Polynomial.random(150, 4096, seed=13)
@@ -198,21 +175,79 @@ class TestPoolFailure:
         assert pqmul.parallel._pools == {}
 
 
+class TestDispatchShape:
+    """Which operand pairs go to which worker, pinned with an in-process
+    pool that records every batch it is given."""
+
+    @pytest.mark.parametrize("la, lb, plan, workers", [
+        (100, 30, MethodPlan.toom(3, base_cutoff=4), 3),
+        (30, 100, MethodPlan.toom(3, base_cutoff=4), 2),
+        (64, 64, MethodPlan.karatsuba(base_cutoff=8), 2),
+        (200, 7, MethodPlan.toom(4, base_cutoff=4), 5),
+        (50, 10, MethodPlan.toom(4, base_cutoff=16), 3),
+        (16, 16, MethodPlan.karatsuba(base_cutoff=16), 4),
+    ])
+    def test_pairs_round_robin_over_workers(self, monkeypatch, la, lb, plan,
+                                            workers):
+        batches = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert max_workers == workers
+
+            def submit(self, fn, pairs, *args):
+                batches.append(pairs)
+                future = Future()
+                future.set_result(fn(pairs, *args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(pqmul.parallel, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(pqmul.parallel, "_pools", {})
+        a = Polynomial.random(la, 4096, seed=la, modulus=4096)
+        b = Polynomial.random(lb, 4096, seed=lb + 1, modulus=4096)
+        got, counter = parallel_mul(a, b, replace(plan, workers=workers))
+
+        seq_counter = OperationCounter()
+        assert got == multiply(a, b, plan, seq_counter)
+        assert counter == seq_counter
+
+        long, short = list(a.coeffs), list(b.coeffs)
+        if len(long) < len(short):
+            long, short = short, long
+        ls, k = len(short), plan.split_factor
+        blocks = [long[i:i + ls] for i in range(0, len(long), ls)]
+        blocks[-1] += [0] * (ls - len(blocks[-1]))
+        if ls > plan.base_cutoff:
+            ev_short = evaluate_parts(split(short, k), k)
+            pairs = [pair for x in blocks
+                     for pair in zip(evaluate_parts(split(x, k), k), ev_short)]
+            assert len(pairs) == -(-len(long) // ls) * (2 * k - 1)
+        else:
+            pairs = [(x, short) for x in blocks]
+            assert len(pairs) == -(-len(long) // ls)
+        assert len(batches) == min(workers, len(pairs))
+        for w, batch in enumerate(batches):
+            assert [tuple(map(list, p)) for p in batch] == \
+                [tuple(map(list, p)) for p in pairs[w::workers]]
+
+
 class TestUnequalLengths:
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(st.integers(1, 150), st.integers(1, 150),
            st.sampled_from([MethodPlan.karatsuba(base_cutoff=4),
                             MethodPlan.toom(3, base_cutoff=4),
                             MethodPlan.toom(4, base_cutoff=4)]),
-           st.sampled_from([2, 3]), st.integers(1, 2), st.integers(0, 2 ** 31))
-    def test_counters_match_sequential(self, la, lb, plan, workers, depth,
-                                       seed):
+           st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    def test_counters_match_sequential(self, la, lb, plan, workers, seed):
         a = Polynomial.random(la, 4096, seed) if la > 1 else Polynomial([3])
         b = Polynomial.random(lb, 4096, seed + 1) if lb > 1 \
             else Polynomial([5])
         seq_counter = OperationCounter()
         seq = multiply(a, b, plan, seq_counter)
-        got, counter = parallel_mul(
-            a, b, plan, ParallelConfig(workers=workers, parallel_depth=depth))
+        got, counter = parallel_mul(a, b, replace(plan, workers=workers))
         assert got == seq
         assert counter == seq_counter

@@ -17,7 +17,6 @@ from pqmul import (
     TimeModel,
     calibrate,
     load_rules,
-    predict_time,
     save_rules,
     select_method,
 )
@@ -303,11 +302,6 @@ class TestTimeModel:
             model.predict(KARATSUBA, 821, 0)
         with pytest.raises(CoverageError):
             model.predict(MethodPlan.toom(4, base_cutoff=16), 512, 0)
-
-    def test_module_level_alias(self):
-        records = records_from_curves(linear_curves(LOADS))
-        model = TimeModel.from_records(records)
-        assert predict_time(model, KARATSUBA, 512, 0) == 10e6
 
 
 class TestRegret:

@@ -27,6 +27,12 @@ TOOM_PAR = MethodPlan.toom(3, workers=5, base_cutoff=16)
 
 LOADS = [0, 20, 40, 60, 80]
 
+#: SHA-256 of the JSON report of make_scenario() under the calibrated
+#: fixture: any change to the vehicle seeds, the selection or the report
+#: format changes the bytes, and with them this digest.
+REPORT_SHA256 = \
+    "3d603082b0d180abb2b2083bab6a6f85509e4ec32567d405b9e57045f8ac2671"
+
 
 def curves(par_base=5e6, par_slope=0.4e6):
     return {
@@ -275,3 +281,16 @@ def test_load_at_matches_linear_scan():
         after = [times[-1] + 0.5, 1e12]
         for t in times + between + after + [-1.0]:
             assert node.load_at(t) == linear_load_at(node.load_trace, t), t
+
+
+def test_json_report_bytes_pinned(calibrated, tmp_path):
+    """The JSON report of a fixed multi-vehicle scenario is byte-identical
+    across versions: same seeds, same mixer, same latencies and counts."""
+    import hashlib
+
+    table, model = calibrated
+    report = run_simulation(make_scenario(), table, model)
+    assert report.total_handovers > 0 and len(report.per_vehicle) == 8
+    path = tmp_path / "report.json"
+    render_report(report, "json", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256
