@@ -20,18 +20,63 @@ back-substitution below is exact for any integer inputs, so modular operands
 are lifted to plain integers on entry and reduced mod q once at the end.
 An inexact division can only mean a bug and raises InternalArithmeticError.
 
-The base case (n <= base_cutoff) is one Kronecker-substituted big-integer
-product (Harvey, JSC 2009): each signed vector is packed into one Python int
-with signed 64-bit slots, the two ints are multiplied once, and the slots of
-the result are the product coefficients.  It returns and counts exactly what
-the schoolbook row loop does; when the coefficients are too large for the
-slots it runs that row loop instead.
+Packed vectors.  The engine carries a vector of n signed coefficients as one
+Python int P = sum(c_i * 2^(s*i)) with slot width s (Kronecker substitution,
+Harvey, JSC 2009): P is the polynomial evaluated at x = 2^s.  Sums,
+differences, small multiples and products of packed vectors are the packed
+sums, differences, multiples and polynomial products, exactly and whatever
+the slot values.  So evaluation, interpolation, recomposition (shifts and
+adds) and the leaf product (x * y) are each a few C-level big-int
+operations.  The shorter operand and each block of the longer one (see
+below) are packed once per product and the result is unpacked once.
+Reading slots back needs them to fit.  When every c_i lies in
+[-2^(s-1), 2^(s-1)), the c_i are the unique signed base-2^s digits of P.
+Adding 2^(s-1) to every slot then makes them non-negative digits that a
+shift and a mask read off.  Slots are read this way to split a node's
+operands (padding slots read as 0), in the division guard and at the
+final unpack.  A padded node's product needs no trim: every slot past its
+2n-1 coefficients is a sum of products with a zero padding slot.
+
+Slot width.  One evaluation level multiplies the largest magnitude by at
+most g = 2, 7, 40 for k = 2, 3, 4 (the values at 1, 2, 3 of a polynomial
+with all-one coefficients).  After L levels the leaf operands are bounded
+by max|a| g^L and max|b| g^L, so leaf product coefficients are bounded by
+
+    V = max|a| g^L * max|b| g^L * leaf_len.
+
+A level-l product has coefficients of at most max|a| max|b| g^(2l) n_l, and
+n_l <= k n_(l+1) <= g^2 n_(l+1), so the leaf level bounds every level above
+it: every operand, subproduct and recomposed coefficient is at most V.
+Interpolating inputs bounded by V keeps every intermediate below 1343 V <
+2^11 V and every quotient below 448 V < 2^9 V.  The worst case is k = 4:
+v3 - v0 - 9 c2 - 81 c4 - 729 vinf with |c2| <= 9.5 V and |c4| <= 6.5 V,
+even for inputs that are not products.  s is the bit length of V plus 14,
+rounded up to whole bytes and to at least 64, and derived per product from
+the operands (never from a setting).  So every value fits its slot
+(2^11 V < 2^(s-3)) and every correct quotient lies in [-2^(s-5), 2^(s-5)).
+
+Division guard.  A zero remainder of divmod(X, d) does not mean that d
+divides every slot: slots (1, -1) with s = 64 give X = 1 - 2^64, which 3
+divides.  So the quotient Q must also have every slot in [-2^h, 2^h),
+h = s - 5 (one add and one mask against cached constants).  That holds
+exactly when d divides every slot x_i.  If it does, the slots of Q are the
+x_i / d, which the width bound keeps in range.  Conversely, let the slots
+q_i of Q lie in [-2^h, 2^h).  Since d <= 8, every d q_i lies in
+[-2^(s-2), 2^(s-2)), so the d q_i are signed digits of d Q = X.  By
+uniqueness of signed digits they are the x_i.
+
+Counts are structural and identical to the coefficient-list engine this
+replaced.  A leaf of length m counts what the schoolbook row loop counts:
+m*m mults and m*m - (2m-1) adds.  A node with part length m adds 2m, 10m or
+22m for evaluating both operands (k = 2, 3, 4), 2, 9 or 20 times (2m-1) for
+interpolation, and 2(k-1)(m-1) for recomposition.
 
 Operands of unequal length are multiplied block-wise, like GMP's unbalanced
 Toom (Bodrato & Zanoni, ISSAC 2007): the longer one, of length L, is cut
 into ceil(L/ls) blocks the length ls of the shorter one (only the last block
 is zero-padded), each block goes through the engine against the shorter
-operand, and the block products are summed at offsets j*ls.  So for unequal
+operand, and the block products are summed at offsets j*ls (their sum's
+coefficients, at most max|a| max|b| ls, are within V too).  So for unequal
 lengths
 
     fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
@@ -48,10 +93,12 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add as _add, sub as _sub
+from itertools import starmap
+from operator import add as _add, mul
+from typing import Callable, NamedTuple
 
 from .errors import InternalArithmeticError, InvalidInputError, InvalidPlanError
-from .poly import OperationCounter, Polynomial, _schoolbook_coeffs
+from .poly import OperationCounter, Polynomial
 
 SCHOOLBOOK = "schoolbook"
 KARATSUBA = "karatsuba"
@@ -141,25 +188,212 @@ class MethodPlan:
 
 
 # ---------------------------------------------------------------------------
-# raw vector helpers (operate on plain lists of ints, padding preserved)
+# packed vectors: n signed coefficients c_i as one int sum(c_i * 2^(s*i))
 # ---------------------------------------------------------------------------
 
-def _vadd(x, y, counter):
-    counter.add_adds(len(x))
-    return list(map(_add, x, y))
+#: Bits a slot holds above the bound V of the vectors it carries; see the
+#: module docstring for why 14 suffice.
+_HEADROOM = 14
 
 
-def _vsub(x, y, counter):
-    counter.add_adds(len(x))
-    return list(map(_sub, x, y))
+def _slot_bits(bound: int) -> int:
+    """The slot width for vectors bounded by bound in magnitude: its bit
+    length plus _HEADROOM, in whole bytes and at least 64 bits."""
+    return max(64, (bound.bit_length() + _HEADROOM + 7) & -8)
 
 
-def _vexact_div(x, d, counter):
-    if any(map(d.__rmod__, x)):
+@lru_cache(maxsize=1024)
+def _ones(n: int, s: int) -> int:
+    """sum(2^(s*i) for i < n): a one in each of n slots of s bits."""
+    return ((1 << s * n) - 1) // ((1 << s) - 1)
+
+
+@lru_cache(maxsize=1024)
+def _range_check(n: int, s: int, h: int) -> tuple[int, int]:
+    """(offset, mask): every one of the n slots of a packed x lies in
+    [-2^h, 2^h), and x has no others, exactly when (x + offset) & mask is 0.
+
+    offset puts 2^h into every slot, mask covers bits h+1 .. s-1 of every
+    slot and, as a negative int, every bit above the n slots.
+    """
+    ones = _ones(n, s)
+    return ones << h, ((1 << s) - (2 << h)) * ones - (1 << s * n)
+
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(coeffs, s: int) -> int:
+    """sum(c_i * 2^(s*i)), exact for any ints with |c_i| < 2^(s-1)."""
+    n, w = len(coeffs), s // 8
+    try:
+        items = array("q", coeffs)
+    except OverflowError:
+        top = _ones(n, s) << (s - 1)
+        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+        return (int.from_bytes(raw, "little") ^ top) - top
+    if _BIG_ENDIAN:
+        items.byteswap()
+    raw = items.tobytes()
+    if w > 8:
+        wide = bytearray(n * w)
+        for j in range(8):
+            wide[j::w] = raw[j::8]
+        raw = wide
+    # each slot holds c mod 2^64; flipping bit 63 makes it c + 2^63
+    top = _ones(n, s) << 63
+    return (int.from_bytes(raw, "little") ^ top) - top
+
+
+def _unpack(x: int, n: int, s: int) -> list[int]:
+    """The n slots of x, each in [-2^(s-1), 2^(s-1)), as a list."""
+    w = s // 8
+    top = _ones(n, s) << (s - 1)
+    raw = ((x + top) ^ top).to_bytes(n * w, "little")  # two's complement
+    offset, mask = _range_check(n, s, 63)
+    if (x + offset) & mask:
+        return [int.from_bytes(raw[i:i + w], "little", signed=True)
+                for i in range(0, n * w, w)]
+    if w > 8:
+        low = bytearray(n * 8)
+        for j in range(8):
+            low[j::8] = raw[j::w]
+        raw = low
+    items = array("q", raw)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items.tolist()
+
+
+@lru_cache(maxsize=1024)
+def _cutter(count: int, m: int, s: int) -> tuple:
+    """(shifts, offset, mask, part_offset) with which _cut cuts a vector of
+    at most count*m slots into count parts of m slots."""
+    return (tuple(range(0, count * m * s, m * s)),
+            _ones(count * m, s) << (s - 1), (1 << m * s) - 1,
+            _ones(m, s) << (s - 1))
+
+
+def _cut(x: int, cutter: tuple) -> list[int]:
+    """The parts of x; slots beyond its length come out as 0."""
+    shifts, offset, mask, part_offset = cutter
+    x += offset
+    return [((x >> t) & mask) - part_offset for t in shifts]
+
+
+def _shift_sum(parts: list[int], stride: int) -> int:
+    """sum(part_i << (stride*i)): packed vectors placed stride bits apart.
+
+    Horner's rule: the fewest big-int operations for the 2k-1 slices of a
+    node, but quadratic in the number of parts."""
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = (out << stride) + part
+    return out
+
+
+def _join_blocks(parts: list[int], stride: int) -> int:
+    """_shift_sum for any number of parts, in time linear-logarithmic in
+    the result: neighbours are joined pairwise, level by level."""
+    while len(parts) > 1:
+        odd = [parts[-1]] if len(parts) % 2 else []
+        parts = [lo + (hi << stride)
+                 for lo, hi in zip(parts[::2], parts[1::2])] + odd
+        stride *= 2
+    return parts[0]
+
+
+def _exact_div(x: int, d: int, guard: tuple[int, int]) -> int:
+    """x/d for a packed x every slot of which d divides, else raise.
+
+    guard is _range_check(slots, s, s-5); the module docstring shows why a
+    zero remainder plus quotient slots in [-2^(s-5), 2^(s-5)) hold exactly
+    when d divides every slot.
+    """
+    q, r = divmod(x, d)
+    if r or (q + guard[0]) & guard[1]:
         raise InternalArithmeticError(
             f"interpolation division by {d} left a remainder")
-    return list(map(d.__rfloordiv__, x))
+    return q
 
+
+def _evaluate2(p0, p1):
+    return p0, p0 + p1, p1
+
+
+def _evaluate3(p0, p1, p2):
+    even = p0 + p2
+    return (p0, even + p1, even - p1,                       # p(1), p(-1)
+            (((p2 << 1) + p1) << 1) + p0, p2)               # p(2)
+
+
+def _evaluate4(p0, p1, p2, p3):
+    even, odd = p0 + p2, p1 + p3
+    even2, odd2 = p0 + (p2 << 2), (p1 + (p3 << 2)) << 1
+    return (p0, even + odd, even - odd,                     # p(1), p(-1)
+            even2 + odd2, even2 - odd2,                     # p(2), p(-2)
+            ((p3 * 3 + p2) * 3 + p1) * 3 + p0, p3)          # p(3)
+
+
+def _interpolate2(products, guard):
+    v0, v1, vinf = products
+    return v0, v1 - v0 - vinf, vinf
+
+
+def _interpolate3(products, guard):
+    # points (0, 1, -1, 2, inf); every division below is exact over Z
+    v0, v1, vm1, v2, vinf = products
+    g = _exact_div(v2 - vm1, 3, guard)                      # c1+c2+3c3+5c4
+    h = _exact_div(v1 - vm1, 2, guard)                      # c1+c3
+    m = vm1 - v0                                            # -c1+c2-c3+c4
+    w3 = _exact_div(g - m, 2, guard) - h - 2 * vinf         # c3
+    return v0, h - w3, m + h - vinf, w3, vinf
+
+
+def _interpolate4(products, guard):
+    # points (0, 1, -1, 2, -2, 3, inf)
+    v0, v1, vm1, v2, vm2, v3, vinf = products
+    t0 = _exact_div(v1 + vm1, 2, guard) - v0 - vinf         # c2+c4
+    t1 = _exact_div(v2 + vm2 - 2 * v0 - 128 * vinf, 8, guard)   # c2+4c4
+    w4 = _exact_div(t1 - t0, 3, guard)                      # c4
+    w2 = t0 - w4                                            # c2
+    s0 = _exact_div(v1 - vm1, 2, guard)                     # c1+c3+c5
+    s1 = _exact_div(v2 - vm2, 4, guard)
+    s1 = _exact_div(s1 - s0, 3, guard)                      # c3+5c5
+    s2 = _exact_div(v3 - v0 - 9 * w2 - 81 * w4 - 729 * vinf, 3, guard)
+    s2 = _exact_div(s2 - s0, 8, guard) - s1                 # 5c5
+    w5 = _exact_div(s2, 5, guard)                           # c5
+    w3 = s1 - s2                                            # c3
+    return v0, s0 - w3 - w5, w2, w3, w4, w5, vinf
+
+
+class _Steps(NamedTuple):
+    """The evaluation and interpolation of one splitting factor k."""
+
+    evaluate: Callable       # k packed parts -> 2k-1 evaluations
+    interpolate: Callable    # 2k-1 packed products, guard -> 2k-1 slices
+    growth: int              # bound on max|evaluation| / max|part|
+    evaluate_adds: int       # counted adds per part coefficient
+    interpolate_adds: int    # counted adds per product coefficient
+
+
+_STEPS = {
+    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2),      # p(1) = p0+p1
+    3: _Steps(_evaluate3, _interpolate3, 7, 5, 9),      # p(2) = p0+2p1+4p2
+    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20),   # p(3) = p0+..+27p3
+}
+
+
+def _steps(k: int) -> _Steps:
+    try:
+        return _STEPS[k]
+    except KeyError:
+        raise InvalidPlanError(f"unsupported splitting factor k={k}") from None
+
+
+# ---------------------------------------------------------------------------
+# the public stage helpers (coefficient lists)
+# ---------------------------------------------------------------------------
 
 def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
     """Split a polynomial into k equal-length coefficient slices.
@@ -181,11 +415,10 @@ def recompose(parts: list[list[int]], stride: int,
     """Sum part vectors placed at offsets 0, stride, 2*stride, ...
 
     Inverse of split when stride = part length; also recombines the
-    (overlapping) interpolation output slices, stride = original part length,
-    and the block products of unequal operands, stride = block length.  The
-    output has stride*(len(parts)-1)+len(parts[-1]) coefficients.  Only the
-    coefficients a part shares with earlier parts are added; with a counter,
-    each of those adds is counted.
+    (overlapping) interpolation output slices, stride = original part
+    length.  The output has stride*(len(parts)-1)+len(parts[-1])
+    coefficients.  Only the coefficients a part shares with earlier parts
+    are added; with a counter, each of those adds is counted.
     """
     if not parts:
         return [0]
@@ -202,34 +435,8 @@ def recompose(parts: list[list[int]], stride: int,
     return out
 
 
-def _evaluate_raw(parts, k, counter):
-    if k == 2:
-        p0, p1 = parts
-        return [p0, _vadd(p0, p1, counter), p1]
-    if k == 3:
-        p0, p1, p2 = parts
-        s = _vadd(p0, p2, counter)
-        e1 = _vadd(s, p1, counter)                        # p(1)
-        em1 = _vsub(s, p1, counter)                       # p(-1)
-        counter.add_adds(2 * len(p0))
-        e2 = [a + 2 * b + 4 * c for a, b, c in zip(p0, p1, p2)]   # p(2)
-        return [p0, e1, em1, e2, p2]
-    if k == 4:
-        p0, p1, p2, p3 = parts
-        even = _vadd(p0, p2, counter)
-        odd = _vadd(p1, p3, counter)
-        e1 = _vadd(even, odd, counter)                    # p(1)
-        em1 = _vsub(even, odd, counter)                   # p(-1)
-        counter.add_adds(2 * len(p0))
-        even2 = [a + 4 * c for a, c in zip(p0, p2)]
-        odd2 = [2 * b + 8 * d for b, d in zip(p1, p3)]
-        e2 = _vadd(even2, odd2, counter)                  # p(2)
-        em2 = _vsub(even2, odd2, counter)                 # p(-2)
-        counter.add_adds(3 * len(p0))
-        e3 = [a + 3 * b + 9 * c + 27 * d
-              for a, b, c, d in zip(p0, p1, p2, p3)]      # p(3)
-        return [p0, e1, em1, e2, em2, e3, p3]
-    raise InvalidPlanError(f"unsupported splitting factor k={k}")
+def _max_abs(vectors) -> int:
+    return max((max(map(abs, v), default=0) for v in vectors), default=0)
 
 
 def evaluate_parts(parts: list[list[int]], k: int,
@@ -242,54 +449,13 @@ def evaluate_parts(parts: list[list[int]], k: int,
     """
     if len(parts) != k:
         raise InvalidInputError(f"expected {k} parts, got {len(parts)}")
-    return _evaluate_raw([list(p) for p in parts], k,
-                         counter or OperationCounter())
-
-
-def _interpolate_raw(products, k, counter):
-    if k == 2:
-        v0, v1, vinf = products
-        mid = _vsub(_vsub(v1, v0, counter), vinf, counter)
-        return [v0, mid, vinf]
-    if k == 3:
-        # points (0, 1, -1, 2, inf); every division below is exact over Z
-        v0, v1, vm1, v2, vinf = products
-        g = _vexact_div(_vsub(v2, vm1, counter), 3, counter)    # c1+c2+3c3+5c4
-        h = _vexact_div(_vsub(v1, vm1, counter), 2, counter)    # c1+c3
-        m = _vsub(vm1, v0, counter)                             # -c1+c2-c3+c4
-        w3 = _vexact_div(_vsub(g, m, counter), 2, counter)      # c1+2c3+2c4
-        w3 = _vsub(w3, h, counter)                              # c3+2c4
-        counter.add_adds(len(w3))
-        w3 = [a - 2 * b for a, b in zip(w3, vinf)]              # c3
-        w2 = _vsub(_vadd(m, h, counter), vinf, counter)         # c2
-        w1 = _vsub(h, w3, counter)                              # c1
-        return [v0, w1, w2, w3, vinf]
-    if k == 4:
-        # points (0, 1, -1, 2, -2, 3, inf)
-        v0, v1, vm1, v2, vm2, v3, vinf = products
-        n = len(v0)
-        t0 = _vexact_div(_vadd(v1, vm1, counter), 2, counter)
-        t0 = _vsub(_vsub(t0, v0, counter), vinf, counter)       # c2+c4
-        counter.add_adds(3 * n)
-        t1 = [p + q - 2 * a - 128 * b
-              for p, q, a, b in zip(v2, vm2, v0, vinf)]
-        t1 = _vexact_div(t1, 8, counter)                        # c2+4c4
-        w4 = _vexact_div(_vsub(t1, t0, counter), 3, counter)    # c4
-        w2 = _vsub(t0, w4, counter)                             # c2
-        s0 = _vexact_div(_vsub(v1, vm1, counter), 2, counter)   # c1+c3+c5
-        s1 = _vexact_div(_vsub(v2, vm2, counter), 4, counter)
-        s1 = _vexact_div(_vsub(s1, s0, counter), 3, counter)    # c3+5c5
-        counter.add_adds(4 * n)
-        s2 = [p - a - 9 * b - 81 * c - 729 * d
-              for p, a, b, c, d in zip(v3, v0, w2, w4, vinf)]
-        s2 = _vexact_div(s2, 3, counter)                        # c1+9c3+81c5
-        s2 = _vexact_div(_vsub(s2, s0, counter), 8, counter)
-        s2 = _vsub(s2, s1, counter)                             # 5c5
-        w5 = _vexact_div(s2, 5, counter)                        # c5
-        w3 = _vsub(s1, s2, counter)                             # c3
-        w1 = _vsub(_vsub(s0, w3, counter), w5, counter)         # c1
-        return [v0, w1, w2, w3, w4, w5, vinf]
-    raise InvalidPlanError(f"unsupported splitting factor k={k}")
+    steps = _steps(k)
+    m = max(map(len, parts))
+    s = _slot_bits(steps.growth * _max_abs(parts))
+    if counter is not None:
+        counter.add_adds(steps.evaluate_adds * m)
+    return [_unpack(e, m, s)
+            for e in steps.evaluate(*[_pack(p, s) for p in parts])]
 
 
 def interpolate(pointwise_products: list[list[int]], k: int,
@@ -304,130 +470,148 @@ def interpolate(pointwise_products: list[list[int]], k: int,
         raise InvalidInputError(
             f"expected {2 * k - 1} pointwise products, got "
             f"{len(pointwise_products)}")
-    return _interpolate_raw([list(p) for p in pointwise_products], k,
-                            counter or OperationCounter())
+    steps = _steps(k)
+    n = max(map(len, pointwise_products))
+    s = _slot_bits(_max_abs(pointwise_products))
+    if counter is not None:
+        counter.add_adds(steps.interpolate_adds * n)
+    slices = steps.interpolate([_pack(p, s) for p in pointwise_products],
+                               _range_check(n, s, s - 5))
+    return [_unpack(v, n, s) for v in slices]
 
 
-#: Kronecker slots are signed 64-bit array items; a slot holds any value v
-#: with |v| < _SLOT_BOUND = 2^63.
-_SLOT_BYTES = array("q").itemsize
-_SLOT_BOUND = 1 << (8 * _SLOT_BYTES - 1)
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
+class _Level(NamedTuple):
+    """The constants of a recursion node of length n > cutoff."""
+
+    cut: tuple               # _cutter(k, m, s): k parts of m = ceil(n/k)
+    steps: _Steps
+    guard: tuple[int, int]   # _range_check(2m-1, s, s-5)
+    stride: int              # s*m bits between consecutive slices
+    child: "_Level | None"   # None when the length-m children are leaves
 
 
-@lru_cache(maxsize=256)
-def _top_bits(n: int) -> int:
-    """sum(_SLOT_BOUND << (64 * i) for i < n): the top bit of n slots."""
-    return int.from_bytes(array("Q", [_SLOT_BOUND]) * n, sys.byteorder)
-
-
-def _kronecker_coeffs(a: list[int], b: list[int],
-                      counter: OperationCounter) -> list[int]:
-    """What _schoolbook_coeffs(a, b, counter) returns, by one int product.
-
-    Packs A = sum a_i 2^(64i) and B likewise, and reads the coefficients
-    of A*B back out of its 64-bit slots.  Every product coefficient has
-    |c| <= max|a| * max|b| * min(la, lb); while that is below 2^63 each
-    slot of A*B + offsets holds c + 2^63 with no carry into the next, and
-    flipping the slots' top bits turns c + 2^63 into c in two's complement
-    (and back, when packing).  Larger values take the schoolbook row loop.
-    Counts exactly what the row loop counts.
-    """
-    la, lb = len(a), len(b)
-    ma, mb = max(map(abs, a)), max(map(abs, b))
-    if max(ma, mb, ma * mb * min(la, lb)) >= _SLOT_BOUND:
-        return _schoolbook_coeffs(a, b, counter)
-    lc = la + lb - 1
-    oa, ob, oc = _top_bits(la), _top_bits(lb), _top_bits(lc)
-    order = sys.byteorder
-    pa = (int.from_bytes(array("q", a), order) ^ oa) - oa
-    pb = (int.from_bytes(array("q", b), order) ^ ob) - ob
-    packed = (pa * pb + oc) ^ oc
-    counter.add_mults(la * lb)
-    counter.add_adds(la * lb - lc)
-    slots = memoryview(packed.to_bytes(lc * _SLOT_BYTES, order)).cast("q")
-    return slots.tolist()
-
-
-def _split_evaluate(a: list[int], b: list[int], k: int,
-                    counter: OperationCounter) -> list[tuple[list[int], list[int]]]:
-    """One level down: zero-pad both vectors to a multiple of k, split and
-    evaluate them; returns the 2k-1 subproduct operand pairs."""
-    n = len(a)
+@lru_cache(maxsize=1024)
+def _level(n: int, k: int, cutoff: int, s: int) -> _Level:
     m = -(-n // k)
-    if m * k != n:
-        pad = [0] * (m * k - n)
-        a = a + pad
-        b = b + pad
-    ev_a = _evaluate_raw([a[i * m:(i + 1) * m] for i in range(k)], k, counter)
-    ev_b = _evaluate_raw([b[i * m:(i + 1) * m] for i in range(k)], k, counter)
-    return list(zip(ev_a, ev_b))
+    return _Level(_cutter(k, m, s), _STEPS[k],
+                  _range_check(2 * m - 1, s, s - 5), s * m,
+                  _level(m, k, cutoff, s) if m > cutoff else None)
 
 
-def _interpolate_recompose(products: list[list[int]], k: int, n: int,
-                           counter: OperationCounter) -> list[int]:
-    """One level up: the 2n-1 coefficients of a length-n product from the
-    2k-1 subproducts of the pairs _split_evaluate returned."""
-    m = -(-n // k)
-    out = recompose(_interpolate_raw(products, k, counter), m, counter)
-    return out[:2 * n - 1] if m * k != n else out
+def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
+    """The slot width of an engine product of two length-n vectors with
+    largest magnitudes amax and bmax: _slot_bits of the leaf bound
+    max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len."""
+    growth = _STEPS[k].growth
+    bound = max(amax, 1) * max(bmax, 1)
+    while n > cutoff:
+        n = -(-n // k)
+        bound *= growth * growth
+    return _slot_bits(bound * n)
 
 
-def _toom_engine(a: list[int], b: list[int], k: int, cutoff: int,
-                 counter: OperationCounter) -> list[int]:
-    """Recursive k-way product of two equal-length vectors.
+def _node_adds(k: int, m: int) -> int:
+    """Adds counted by one node with part length m outside its subproducts:
+    evaluating both operands, interpolating, and recomposing 2k-1 slices of
+    2m-1 coefficients at stride m."""
+    steps = _STEPS[k]
+    return (2 * steps.evaluate_adds * m + steps.interpolate_adds * (2 * m - 1)
+            + 2 * (k - 1) * (m - 1))
 
-    Returns exactly 2*len(a)-1 coefficients.  Lengths that do not divide by
-    k are zero-padded to the next multiple at each level; the padding never
-    leaks into the returned slice.
-    """
-    n = len(a)
+
+@lru_cache(maxsize=1024)
+def _tree_counts(n: int, k: int, cutoff: int) -> tuple[int, int]:
+    """(fundamental_mults, fundamental_adds) of one engine product of two
+    length-n vectors; a leaf counts what the schoolbook row loop counts."""
     if n <= cutoff:
-        return _kronecker_coeffs(a, b, counter)
-    products = [_toom_engine(x, y, k, cutoff, counter)
-                for x, y in _split_evaluate(a, b, k, counter)]
-    return _interpolate_recompose(products, k, n, counter)
+        return n * n, n * n - (2 * n - 1)
+    m = -(-n // k)
+    mults, adds = _tree_counts(m, k, cutoff)
+    return (2 * k - 1) * mults, (2 * k - 1) * adds + _node_adds(k, m)
 
 
-def _run_pairs(pairs: list[tuple[list[int], list[int]]], k: int, cutoff: int
-               ) -> tuple[list[list[int]], int, int]:
-    """In-process pair runner: (products, fundamental_mults, fundamental_adds).
+def _split_evaluate(x: int, y: int, level: _Level) -> list[tuple[int, int]]:
+    """One level down: the 2k-1 subproduct operand pairs of packed x, y."""
+    evaluate = level.steps.evaluate
+    return list(zip(evaluate(*_cut(x, level.cut)),
+                    evaluate(*_cut(y, level.cut))))
+
+
+def _interpolate_recompose(products: list[int], level: _Level) -> int:
+    """One level up: the packed product from the 2k-1 packed subproducts of
+    the pairs _split_evaluate returned.  Padded slots of the operands are
+    0, so every slot of the product from 2n-1 on is 0 and needs no trim."""
+    return _shift_sum(level.steps.interpolate(products, level.guard),
+                      level.stride)
+
+
+def _toom_node(x: int, y: int, level: _Level) -> int:
+    """Recursive k-way product of two packed vectors of level's length."""
+    pairs = _split_evaluate(x, y, level)
+    if level.child is None:
+        products = list(starmap(mul, pairs))
+    else:
+        products = [_toom_node(u, v, level.child) for u, v in pairs]
+    return _interpolate_recompose(products, level)
+
+
+def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, m: int,
+               s: int) -> tuple[list[int], int, int]:
+    """In-process pair runner: (products, fundamental_mults,
+    fundamental_adds) of packed length-m vector pairs in s-bit slots.
 
     parallel_mul's pool runner runs it on each worker's share of the pairs.
     """
-    counter = OperationCounter()
-    products = [_toom_engine(a, b, k, cutoff, counter) for a, b in pairs]
-    return products, counter.fundamental_mults, counter.fundamental_adds
+    if m <= cutoff:
+        products = list(starmap(mul, pairs))
+    else:
+        level = _level(m, k, cutoff, s)
+        products = [_toom_node(x, y, level) for x, y in pairs]
+    mults, adds = _tree_counts(m, k, cutoff)
+    return products, len(pairs) * mults, len(pairs) * adds
 
 
 def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
                 counter: OperationCounter, run_pairs=_run_pairs) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
-    Splits and evaluates the top level of every block, hands all operand
-    pairs to run_pairs(pairs, k, cutoff) in one call, then interpolates each
-    block and sums the block products; the result does not depend on where
-    run_pairs runs them.
+    Packs the shorter operand and each block of the longer one once,
+    splits and evaluates the top level of every block, hands all operand
+    pairs to run_pairs(pairs, k, cutoff, m, s) in one call, then
+    interpolates each block, sums the block products and unpacks once; the
+    result does not depend on where run_pairs runs them.
     """
     a._check_ring(b)
-    long, short = list(a.coeffs), list(b.coeffs)
+    long, short = a.coeffs, b.coeffs
     if len(long) < len(short):
         long, short = short, long
     ls = len(short)
-    blocks = [long[i:i + ls] for i in range(0, len(long), ls)]
-    blocks[-1] += [0] * (ls - len(blocks[-1]))
+    blocks = -(-len(long) // ls)
+    s = _engine_bits(max(map(abs, long)), max(map(abs, short)), ls, k,
+                     cutoff)
+    y = _pack(short, s)
+    xs = [_pack(long[i:i + ls], s) for i in range(0, len(long), ls)]
     if ls > cutoff:
-        pairs = [pair for x in blocks
-                 for pair in _split_evaluate(x, short, k, counter)]
+        level = _level(ls, k, cutoff, s)
+        pairs = [pair for x in xs for pair in _split_evaluate(x, y, level)]
+        m = -(-ls // k)
     else:
-        pairs = [(x, short) for x in blocks]
-    products, mults, adds = run_pairs(pairs, k, cutoff)
+        pairs = [(x, y) for x in xs]
+        m = ls
+    products, mults, adds = run_pairs(pairs, k, cutoff, m, s)
     counter.add_mults(mults)
-    counter.add_adds(adds)
+    counter.add_adds(adds + (blocks - 1) * (ls - 1))
     if ls > cutoff:
+        counter.add_adds(blocks * _node_adds(k, m))
         width = 2 * k - 1
-        products = [_interpolate_recompose(products[i:i + width], k, ls, counter)
+        products = [_interpolate_recompose(products[i:i + width], level)
                     for i in range(0, len(products), width)]
-    return Polynomial(recompose(products, ls, counter), a.modulus)
+    out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
+    return Polynomial(out, a.modulus)
 
 
 def karatsuba_mul(a: Polynomial, b: Polynomial,

@@ -3,12 +3,13 @@
 The 2k-1 subproducts of a Toom-Cook split are independent of each other, so
 parallel_mul runs the engine of multipliers with a pool runner: the parent
 performs the top-level split/evaluate of every block, hands the subproduct
-pairs to the runner, which sends pair i to worker i mod workers (statically,
-so timings are not perturbed by work stealing) and returns the products in
-pair order, and the parent then interpolates and recombines them.  Only the
-top level is dispatched; below it each worker recurses sequentially.  The
-result and the aggregated operation counts are therefore identical for every
-worker count and every scheduling of the pool.
+pairs (Kronecker-packed ints) to the runner, which sends pair i to worker
+i mod workers (statically, so timings are not perturbed by work stealing)
+and returns the products in pair order, and the parent then interpolates
+and recombines them.  Only the top level is dispatched; below it each
+worker recurses sequentially.  The result and the aggregated operation
+counts are therefore identical for every worker count and every scheduling
+of the pool.
 
 Worker pools are processes (not threads) so the coefficient arithmetic runs
 on separate cores; pools are created lazily per worker count and reused
@@ -67,16 +68,18 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _run_on_pool(workers: int, pairs, k: int, cutoff: int):
+def _run_on_pool(workers: int, pairs, k: int, cutoff: int, m: int, s: int):
     """The engine's pair runner on the workers-process pool.
 
-    Worker w multiplies pairs w, w+workers, w+2*workers, ... in one batch.
-    Returns (products in pair order, fundamental_mults, fundamental_adds).
+    Worker w multiplies pairs w, w+workers, w+2*workers, ... in one batch;
+    the pairs are packed ints of m slots of s bits.  Returns (products in
+    pair order, fundamental_mults, fundamental_adds).
     """
     for attempt in (1, 2):
         pool = _get_pool(workers)
         try:
-            futures = [pool.submit(_run_pairs, pairs[w::workers], k, cutoff)
+            futures = [pool.submit(_run_pairs, pairs[w::workers], k, cutoff,
+                                   m, s)
                        for w in range(min(workers, len(pairs)))]
             results = [future.result() for future in futures]
             break

@@ -26,10 +26,11 @@ class OperationCounter:
     recursion base case; it is structural (len(a)*len(b) per schoolbook
     block) and therefore identical for identical operand shapes.
 
-    ``fundamental_adds`` counts coefficient additions/subtractions actually
-    performed (evaluation, interpolation, recombination, accumulation onto a
-    slot that already holds a value).  It is an empirical tally, not a
-    closed-form quantity.
+    ``fundamental_adds`` counts the coefficient additions/subtractions a
+    coefficient-wise run performs (evaluation, interpolation, recombination,
+    accumulation onto a slot that already holds a value).  The schoolbook
+    row loop tallies them as it goes; the packed Karatsuba/Toom-Cook engine
+    adds each recursion node's count from the node's shape.
     """
 
     __slots__ = ("fundamental_mults", "fundamental_adds")
@@ -43,11 +44,6 @@ class OperationCounter:
 
     def add_adds(self, n: int = 1) -> None:
         self.fundamental_adds += n
-
-    def merge(self, other: "OperationCounter") -> None:
-        """Fold another counter's totals into this one (used at parallel join)."""
-        self.fundamental_mults += other.fundamental_mults
-        self.fundamental_adds += other.fundamental_adds
 
     def __eq__(self, other):
         if not isinstance(other, OperationCounter):

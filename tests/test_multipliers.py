@@ -10,7 +10,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import pqmul.multipliers
 from pqmul import (
     EVALUATION_POINTS,
     InternalArithmeticError,
@@ -29,7 +28,7 @@ from pqmul import (
     split,
     toomcook_mul,
 )
-from pqmul.multipliers import _kronecker_coeffs
+from pqmul.multipliers import _exact_div, _pack, _range_check, _unpack
 from pqmul.poly import _schoolbook_coeffs
 
 
@@ -326,7 +325,7 @@ class TestRecursionDepth:
 
 
 # ---------------------------------------------------------------------------
-# packed base case and unbalanced operands (property tests)
+# packed vectors and unbalanced operands (property tests)
 # ---------------------------------------------------------------------------
 
 #: Fixed-seed Hypothesis runs, so every host tries the same examples.
@@ -337,52 +336,93 @@ PLANS = [MethodPlan.karatsuba(base_cutoff=1), MethodPlan.karatsuba(),
          MethodPlan.toom(3, base_cutoff=1), MethodPlan.toom(3),
          MethodPlan.toom(4, base_cutoff=1), MethodPlan.toom(4)]
 
+ENGINE_PLANS = [MethodPlan.karatsuba(), MethodPlan.toom(3), MethodPlan.toom(4)]
+
 
 @st.composite
-def signed_leaf_operands(draw):
-    """Two signed vectors of length 1-16 whose largest magnitudes are
-    2^bits_a and 2^bits_b, so max|a| * max|b| * min(la, lb) lands on
-    either side of the 2^63 slot bound; either may be all zero."""
-    def vector(length):
-        bits = draw(st.integers(0, 40))
-        v = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
-                          min_size=length, max_size=length))
-        if draw(st.booleans()):
-            return [0] * length
-        sign = draw(st.sampled_from((-1, 1)))
-        v[draw(st.integers(0, length - 1))] = sign << bits
-        return v
-    return vector(draw(st.integers(1, 16))), vector(draw(st.integers(1, 16)))
+def signed_vector(draw, max_size):
+    """A signed vector whose largest magnitude is 2^bits, bits 0-80, so it
+    lands on either side of 2^63; it may be all zero."""
+    length = draw(st.integers(1, max_size))
+    bits = draw(st.integers(0, 80))
+    v = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
+                      min_size=length, max_size=length))
+    if draw(st.booleans()):
+        return [0] * length
+    sign = draw(st.sampled_from((-1, 1)))
+    v[draw(st.integers(0, length - 1))] = sign << bits
+    return v
 
 
-class TestPackedLeaf:
+def slot_bits_for(bound):
+    """The smallest slot width _pack and _unpack accept for |c| <= bound."""
+    return max(64, (bound.bit_length() + 8) & -8)
+
+
+class TestPackedVectors:
     @PROPERTY
-    @given(signed_leaf_operands())
-    @example(([2 ** 29] * 16, [-(2 ** 29)] * 16))        # 2^62: packed
-    @example(([2 ** 30] * 16, [2 ** 29] * 16))           # 2^63: row loop
-    @example(([0] * 3, [2 ** 70, -1]))                   # zero times huge
-    @example(([-(2 ** 63)], [0]))
-    def test_matches_row_loop(self, operands):
-        a, b = operands
-        packed, rows = OperationCounter(), OperationCounter()
-        got = _kronecker_coeffs(a, b, packed)
-        assert got == _schoolbook_coeffs(a, b, rows)
-        assert packed == rows
+    @given(signed_vector(64), st.integers(0, 2))
+    @example([2 ** 63 - 1, -(2 ** 63)], 0)
+    @example([2 ** 63, -(2 ** 63) - 1], 0)
+    def test_pack_unpack_round_trip(self, v, extra_bytes):
+        s = slot_bits_for(max(map(abs, v))) + 8 * extra_bytes
+        packed = _pack(v, s)
+        assert packed == sum(c << (s * i) for i, c in enumerate(v))
+        assert _unpack(packed, len(v), s) == v
 
-    def test_largest_reduced_operands_fit_the_slots(self, monkeypatch):
-        """All-(q-1) operands give the largest leaf values of any reduced
-        operands of their length and modulus; at N = 1024, q = 2^13 and
-        cutoff 16 they still fit the 64-bit slots."""
-        def row_loop(*args):
-            raise AssertionError("packed leaf fell back to the row loop")
+    @PROPERTY
+    @given(signed_vector(16), signed_vector(16))
+    @example([2 ** 30] * 16, [2 ** 29] * 16)
+    @example([0] * 3, [2 ** 70, -1])
+    def test_packed_product_matches_row_loop(self, a, b):
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        s = slot_bits_for(max(ma, mb, ma * mb * min(len(a), len(b))))
+        got = _unpack(_pack(a, s) * _pack(b, s), len(a) + len(b) - 1, s)
+        assert got == _schoolbook_coeffs(a, b, OperationCounter())
 
+    @pytest.mark.parametrize("slots, d", [
+        ([1, -1], 3),       # 1 - 2^64 divides by 3; neither slot does
+        ([0, 1], 2),        # 2^64 divides by 2; slot 1 does not
+        ([4, 0, 1, 4], 2),  # one bad slot between good ones
+    ])
+    def test_exact_division_guard(self, slots, d):
+        s = 64
+        x = _pack(slots, s)
+        assert x % d == 0
+        with pytest.raises(InternalArithmeticError):
+            _exact_div(x, d, _range_check(len(slots), s, s - 5))
+
+    def test_exact_division_of_every_slot(self):
+        s = 64
+        guard = _range_check(3, s, s - 5)
+        q = _exact_div(_pack([9, -24, 3], s), 3, guard)
+        assert _unpack(q, 3, s) == [3, -8, 1]
+
+    def test_widest_reduced_operands(self):
+        """All-(q-1) operands give the largest values of any reduced
+        operands of their length and modulus: N = 1024, q = 2^13 needs the
+        widest slots of the benchmark's products."""
         q = 8192
         a = Polynomial([q - 1] * 1024, q)
         ref = schoolbook_mul(a, a)
-        monkeypatch.setattr(pqmul.multipliers, "_schoolbook_coeffs", row_loop)
-        for plan in (MethodPlan.karatsuba(), MethodPlan.toom(3),
-                     MethodPlan.toom(4)):
+        for plan in ENGINE_PLANS:
             assert multiply(a, a, plan) == ref
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_extreme_sign_patterns(self, plan):
+        """Same-sign and alternating-sign operands drive the evaluations
+        and interpolation intermediates furthest towards the slot bound."""
+        for n in (27, 33):
+            for v in ([2 ** 30] * n, [(-1) ** i << 30 for i in range(n)]):
+                a = Polynomial(v)
+                assert multiply(a, a, plan) == schoolbook_mul(a, a)
+
+    @pytest.mark.parametrize("plan", ENGINE_PLANS)
+    def test_unreduced_operands_beyond_64_bits(self, plan):
+        rng = random.Random(70)
+        a = Polynomial([rng.choice((-1, 1)) << 70 for _ in range(300)])
+        b = Polynomial([rng.randrange(-2 ** 70, 2 ** 70) for _ in range(45)])
+        assert multiply(a, b, plan) == schoolbook_mul(a, b)
 
 
 class TestEngineProperties:

@@ -23,6 +23,7 @@ from pqmul import (
     schoolbook_mul,
     split,
 )
+from pqmul.multipliers import _unpack
 
 
 class TestDegradation:
@@ -196,7 +197,7 @@ class TestDispatchShape:
                 assert max_workers == workers
 
             def submit(self, fn, pairs, *args):
-                batches.append(pairs)
+                batches.append((pairs, args))
                 future = Future()
                 future.set_result(fn(pairs, *args))
                 return future
@@ -230,8 +231,8 @@ class TestDispatchShape:
             pairs = [(x, short) for x in blocks]
             assert len(pairs) == -(-len(long) // ls)
         assert len(batches) == min(workers, len(pairs))
-        for w, batch in enumerate(batches):
-            assert [tuple(map(list, p)) for p in batch] == \
+        for w, (batch, (_, _, m, s)) in enumerate(batches):
+            assert [tuple(_unpack(v, m, s) for v in p) for p in batch] == \
                 [tuple(map(list, p)) for p in pairs[w::workers]]
 
 

@@ -174,11 +174,3 @@ class TestOperationCounter:
             now = (c.fundamental_mults, c.fundamental_adds)
             assert now >= before
             before = now
-
-    def test_merge(self):
-        a, b = OperationCounter(), OperationCounter()
-        a.add_mults(3)
-        b.add_mults(4)
-        b.add_adds(2)
-        a.merge(b)
-        assert a.fundamental_mults == 7 and a.fundamental_adds == 2
