@@ -35,7 +35,12 @@ Adding 2^(s-1) to every slot then makes them non-negative digits that a
 shift and a mask read off.  Slots are read this way to split a node's
 operands (padding slots read as 0), in the division guard and at the
 final unpack.  A padded node's product needs no trim: every slot past its
-2n-1 coefficients is a sum of products with a zero padding slot.
+2n-1 coefficients is a sum of products with a zero padding slot.  Packing
+goes through array('q'): strided slice copies move each item's low
+min(s/8, 8) bytes into its slot, and one XOR and one subtract turn the
+two's-complement slots into signed digits.  Unpacking reverses this;
+slots narrower than 8 bytes are sign-extended by translating their top
+byte.
 
 Slot width.  One evaluation level multiplies the largest magnitude by at
 most g = 2, 7, 40 for k = 2, 3, 4 (the values at 1, 2, 3 of a polynomial
@@ -47,23 +52,47 @@ by max|a| g^L and max|b| g^L, so leaf product coefficients are bounded by
 A level-l product has coefficients of at most max|a| max|b| g^(2l) n_l, and
 n_l <= k n_(l+1) <= g^2 n_(l+1), so the leaf level bounds every level above
 it: every operand, subproduct and recomposed coefficient is at most V.
-Interpolating inputs bounded by V keeps every intermediate below 1343 V <
-2^11 V and every quotient below 448 V < 2^9 V.  The worst case is k = 4:
-v3 - v0 - 9 c2 - 81 c4 - 729 vinf with |c2| <= 9.5 V and |c4| <= 6.5 V,
-even for inputs that are not products.  s is the bit length of V plus 14,
-rounded up to whole bytes and to at least 64, and derived per product from
-the operands (never from a setting).  So every value fits its slot
-(2^11 V < 2^(s-3)) and every correct quotient lies in [-2^(s-5), 2^(s-5)).
+Interpolating inputs bounded by V, even inputs that are not products, keeps
+every intermediate and quotient below these bounds (for k = 4 the worst
+intermediate is v3 - v0 - 9 c2 - 81 c4 - 729 vinf with |c2| <= 9.5 V and
+|c4| <= 6.5 V):
+
+    k   intermediates   quotients   divisors   headroom   guard h
+    2   < 4 V           -           -           3 bits    -
+    3   < 8 V           < 2 V       d <= 3      4 bits    s - 3
+    4   < 2^11 V        < 2^9 V     d <= 8     13 bits    s - 4
+
+s is the bit length of V plus k's headroom, rounded up to whole bytes, and
+derived per product from the operands (never from a setting).  So every
+value fits its slot (4 V, 8 V, 2^11 V <= 2^(s-1)) and every correct
+quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).  At
+q = 2^13, cutoff 16 and N = 256, 512, 768, 1024 that is 48 bits for
+Karatsuba, 56/56/56/64 for Toom-3 and 72/80/80/80 for Toom-4.
 
 Division guard.  A zero remainder of divmod(X, d) does not mean that d
-divides every slot: slots (1, -1) with s = 64 give X = 1 - 2^64, which 3
-divides.  So the quotient Q must also have every slot in [-2^h, 2^h),
-h = s - 5 (one add and one mask against cached constants).  That holds
-exactly when d divides every slot x_i.  If it does, the slots of Q are the
-x_i / d, which the width bound keeps in range.  Conversely, let the slots
-q_i of Q lie in [-2^h, 2^h).  Since d <= 8, every d q_i lies in
-[-2^(s-2), 2^(s-2)), so the d q_i are signed digits of d Q = X.  By
-uniqueness of signed digits they are the x_i.
+divides every slot: slots (1, -1) with s = 16 give X = 1 - 2^16, which 3
+divides.  So the quotient Q must also have every slot in [-2^h, 2^h) (one
+add and one mask against cached constants).  That holds exactly when d
+divides every slot x_i.  If it does, the slots of Q are the x_i / d, which
+the width bound keeps in range.  Conversely, let the slots q_i of Q lie in
+[-2^h, 2^h).  Since 3 * 2^(s-3) and 8 * 2^(s-4) are at most 2^(s-1), every
+d q_i lies in [-2^(s-1), 2^(s-1)), so the d q_i are signed digits of
+d Q = X.  By uniqueness of signed digits they are the x_i.
+
+Evaluation trees.  _engine_mul cuts and evaluates the top level itself, the
+shorter operand once, and hands the 2k-1 operand pairs of every block on.
+Each pair then takes three steps: look up the leaf operands of both
+vectors' evaluation trees, multiply them pairwise (one big-int product per
+leaf), and interpolate and recompose level by level, bottom up, in groups
+of 2k-1.  _leaves maps a packed vector and its shape (n, k, cutoff, s) to
+the tuple of its leaf operands, the 2k-1 children of each node next to
+each other.  It is a pure function behind an LRU memo of _MEMO_ENTRIES
+trees, so a vector shared by several products is evaluated once: the key
+fixed across an NTRU batch, the shorter operand against every block of a
+longer one, and in a pool worker the same evaluations of a shared key on
+every call, since pair i always goes to worker i mod workers (Mera,
+Karmakar & Verbauwhede, TCHES 2020, on precomputed evaluations).  The
+memo changes no product and no count.
 
 Counts are structural and identical to the coefficient-list engine this
 replaced.  A leaf of length m counts what the schoolbook row loop counts:
@@ -93,7 +122,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
 from operator import add as _add, mul
 from typing import Callable, NamedTuple
 
@@ -191,15 +219,10 @@ class MethodPlan:
 # packed vectors: n signed coefficients c_i as one int sum(c_i * 2^(s*i))
 # ---------------------------------------------------------------------------
 
-#: Bits a slot holds above the bound V of the vectors it carries; see the
-#: module docstring for why 14 suffice.
-_HEADROOM = 14
-
-
-def _slot_bits(bound: int) -> int:
+def _slot_bits(bound: int, headroom: int) -> int:
     """The slot width for vectors bounded by bound in magnitude: its bit
-    length plus _HEADROOM, in whole bytes and at least 64 bits."""
-    return max(64, (bound.bit_length() + _HEADROOM + 7) & -8)
+    length plus headroom, in whole bytes."""
+    return (bound.bit_length() + headroom + 7) & -8
 
 
 @lru_cache(maxsize=1024)
@@ -222,6 +245,9 @@ def _range_check(n: int, s: int, h: int) -> tuple[int, int]:
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
+#: bytes.translate table: a byte to the byte that sign-extends it.
+_SIGN_BYTES = bytes(255 if b >= 128 else 0 for b in range(256))
+
 
 def _pack(coeffs, s: int) -> int:
     """sum(c_i * 2^(s*i)), exact for any ints with |c_i| < 2^(s-1)."""
@@ -235,13 +261,14 @@ def _pack(coeffs, s: int) -> int:
     if _BIG_ENDIAN:
         items.byteswap()
     raw = items.tobytes()
-    if w > 8:
-        wide = bytearray(n * w)
-        for j in range(8):
-            wide[j::w] = raw[j::8]
-        raw = wide
-    # each slot holds c mod 2^64; flipping bit 63 makes it c + 2^63
-    top = _ones(n, s) << 63
+    if w != 8:
+        slots = bytearray(n * w)
+        for j in range(min(w, 8)):
+            slots[j::w] = raw[j::8]
+        raw = slots
+    # each slot holds c mod 2^t, t = min(s, 64); flipping bit t-1 makes it
+    # c + 2^(t-1)
+    top = _ones(n, s) << (min(s, 64) - 1)
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
@@ -250,15 +277,24 @@ def _unpack(x: int, n: int, s: int) -> list[int]:
     w = s // 8
     top = _ones(n, s) << (s - 1)
     raw = ((x + top) ^ top).to_bytes(n * w, "little")  # two's complement
-    offset, mask = _range_check(n, s, 63)
-    if (x + offset) & mask:
-        return [int.from_bytes(raw[i:i + w], "little", signed=True)
-                for i in range(0, n * w, w)]
-    if w > 8:
-        low = bytearray(n * 8)
-        for j in range(8):
-            low[j::8] = raw[j::w]
-        raw = low
+    if w < 8:
+        wide = bytearray(n * 8)
+        for j in range(w):
+            wide[j::8] = raw[j::w]
+        sign = raw[w - 1::w].translate(_SIGN_BYTES)
+        for j in range(w, 8):
+            wide[j::8] = sign
+        raw = wide
+    else:
+        offset, mask = _range_check(n, s, 63)
+        if (x + offset) & mask:
+            return [int.from_bytes(raw[i:i + w], "little", signed=True)
+                    for i in range(0, n * w, w)]
+        if w > 8:
+            low = bytearray(n * 8)
+            for j in range(8):
+                low[j::8] = raw[j::w]
+            raw = low
     items = array("q", raw)
     if _BIG_ENDIAN:
         items.byteswap()
@@ -306,9 +342,9 @@ def _join_blocks(parts: list[int], stride: int) -> int:
 def _exact_div(x: int, d: int, guard: tuple[int, int]) -> int:
     """x/d for a packed x every slot of which d divides, else raise.
 
-    guard is _range_check(slots, s, s-5); the module docstring shows why a
-    zero remainder plus quotient slots in [-2^(s-5), 2^(s-5)) hold exactly
-    when d divides every slot.
+    guard is _range_check(slots, s, h) with h = s - _Steps.guard of the
+    method; the module docstring shows why a zero remainder plus quotient
+    slots in [-2^h, 2^h) hold exactly when d divides every slot.
     """
     q, r = divmod(x, d)
     if r or (q + guard[0]) & guard[1]:
@@ -375,12 +411,14 @@ class _Steps(NamedTuple):
     growth: int              # bound on max|evaluation| / max|part|
     evaluate_adds: int       # counted adds per part coefficient
     interpolate_adds: int    # counted adds per product coefficient
+    headroom: int            # slot bits above the bound V of the values
+    guard: int               # quotient slots lie in [-2^(s-guard), ...)
 
 
 _STEPS = {
-    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2),      # p(1) = p0+p1
-    3: _Steps(_evaluate3, _interpolate3, 7, 5, 9),      # p(2) = p0+2p1+4p2
-    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20),   # p(3) = p0+..+27p3
+    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 3, 1),    # p(1) = p0+p1
+    3: _Steps(_evaluate3, _interpolate3, 7, 5, 9, 4, 3),    # p(2) = p0+..+4p2
+    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20, 13, 4),    # p(3)
 }
 
 
@@ -451,7 +489,7 @@ def evaluate_parts(parts: list[list[int]], k: int,
         raise InvalidInputError(f"expected {k} parts, got {len(parts)}")
     steps = _steps(k)
     m = max(map(len, parts))
-    s = _slot_bits(steps.growth * _max_abs(parts))
+    s = _slot_bits(steps.growth * _max_abs(parts), steps.headroom)
     if counter is not None:
         counter.add_adds(steps.evaluate_adds * m)
     return [_unpack(e, m, s)
@@ -472,11 +510,11 @@ def interpolate(pointwise_products: list[list[int]], k: int,
             f"{len(pointwise_products)}")
     steps = _steps(k)
     n = max(map(len, pointwise_products))
-    s = _slot_bits(_max_abs(pointwise_products))
+    s = _slot_bits(_max_abs(pointwise_products), steps.headroom)
     if counter is not None:
         counter.add_adds(steps.interpolate_adds * n)
     slices = steps.interpolate([_pack(p, s) for p in pointwise_products],
-                               _range_check(n, s, s - 5))
+                               _range_check(n, s, s - steps.guard))
     return [_unpack(v, n, s) for v in slices]
 
 
@@ -485,33 +523,40 @@ def interpolate(pointwise_products: list[list[int]], k: int,
 # ---------------------------------------------------------------------------
 
 class _Level(NamedTuple):
-    """The constants of a recursion node of length n > cutoff."""
+    """The constants of one recursion level: nodes of length n > cutoff,
+    cut into k parts of m = ceil(n/k) slots."""
 
-    cut: tuple               # _cutter(k, m, s): k parts of m = ceil(n/k)
-    steps: _Steps
-    guard: tuple[int, int]   # _range_check(2m-1, s, s-5)
+    cut: tuple               # _cutter(k, m, s)
+    evaluate: Callable       # k packed parts -> 2k-1 evaluations
+    interpolate: Callable    # 2k-1 packed products, guard -> 2k-1 slices
+    width: int               # 2k-1 subproducts per node
+    guard: tuple[int, int]   # _range_check(2m-1, s, s - _Steps.guard)
     stride: int              # s*m bits between consecutive slices
-    child: "_Level | None"   # None when the length-m children are leaves
 
 
 @lru_cache(maxsize=1024)
-def _level(n: int, k: int, cutoff: int, s: int) -> _Level:
+def _levels(n: int, k: int, cutoff: int, s: int) -> tuple[_Level, ...]:
+    """The levels of the recursion of a length-n product, top first; none
+    when n is at or below the cutoff."""
+    if n <= cutoff:
+        return ()
     m = -(-n // k)
-    return _Level(_cutter(k, m, s), _STEPS[k],
-                  _range_check(2 * m - 1, s, s - 5), s * m,
-                  _level(m, k, cutoff, s) if m > cutoff else None)
+    steps = _STEPS[k]
+    return (_Level(_cutter(k, m, s), steps.evaluate, steps.interpolate,
+                   2 * k - 1, _range_check(2 * m - 1, s, s - steps.guard),
+                   s * m),) + _levels(m, k, cutoff, s)
 
 
 def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
     """The slot width of an engine product of two length-n vectors with
     largest magnitudes amax and bmax: _slot_bits of the leaf bound
-    max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len."""
-    growth = _STEPS[k].growth
+    max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len with k's headroom."""
+    steps = _STEPS[k]
     bound = max(amax, 1) * max(bmax, 1)
     while n > cutoff:
         n = -(-n // k)
-        bound *= growth * growth
-    return _slot_bits(bound * n)
+        bound *= steps.growth * steps.growth
+    return _slot_bits(bound * n, steps.headroom)
 
 
 def _node_adds(k: int, m: int) -> int:
@@ -534,29 +579,45 @@ def _tree_counts(n: int, k: int, cutoff: int) -> tuple[int, int]:
     return (2 * k - 1) * mults, (2 * k - 1) * adds + _node_adds(k, m)
 
 
-def _split_evaluate(x: int, y: int, level: _Level) -> list[tuple[int, int]]:
-    """One level down: the 2k-1 subproduct operand pairs of packed x, y."""
-    evaluate = level.steps.evaluate
-    return list(zip(evaluate(*_cut(x, level.cut)),
-                    evaluate(*_cut(y, level.cut))))
+def _evaluate_level(vectors: list[int], level: _Level) -> list[int]:
+    """One level down: each packed vector cut into k parts and evaluated at
+    the 2k-1 points, the evaluations of one vector next to each other."""
+    evaluate, cut = level.evaluate, level.cut
+    return [e for v in vectors for e in evaluate(*_cut(v, cut))]
 
 
-def _interpolate_recompose(products: list[int], level: _Level) -> int:
-    """One level up: the packed product from the 2k-1 packed subproducts of
-    the pairs _split_evaluate returned.  Padded slots of the operands are
-    0, so every slot of the product from 2n-1 on is 0 and needs no trim."""
-    return _shift_sum(level.steps.interpolate(products, level.guard),
-                      level.stride)
+def _interpolate_levels(products: list[int], levels) -> list[int]:
+    """Up the given levels, bottom first: each group of 2k-1 consecutive
+    packed subproducts interpolated and recomposed into one product.
+    Padded slots of the operands are 0, so every slot of a node's product
+    from 2n-1 on is 0 and needs no trim."""
+    for level in reversed(levels):
+        interpolate, guard, stride = \
+            level.interpolate, level.guard, level.stride
+        products = [_shift_sum(interpolate(products[i:i + level.width],
+                                           guard), stride)
+                    for i in range(0, len(products), level.width)]
+    return products
 
 
-def _toom_node(x: int, y: int, level: _Level) -> int:
-    """Recursive k-way product of two packed vectors of level's length."""
-    pairs = _split_evaluate(x, y, level)
-    if level.child is None:
-        products = list(starmap(mul, pairs))
-    else:
-        products = [_toom_node(u, v, level.child) for u, v in pairs]
-    return _interpolate_recompose(products, level)
+#: Evaluation trees _leaves keeps: one shared operand needs 2k-1 of them
+#: (its top-level evaluations), the other operand of a product 2k-1 more.
+_MEMO_ENTRIES = 64
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _leaves(x: int, n: int, k: int, cutoff: int, s: int) -> tuple[int, ...]:
+    """The leaf operands of the evaluation tree of packed length-n x: every
+    level of _levels(n, k, cutoff, s) evaluated top down, so the 2k-1
+    children of each node are next to each other.
+
+    A pure function of its arguments, memoised, so a vector shared by
+    several products is evaluated once.
+    """
+    vectors = [x]
+    for level in _levels(n, k, cutoff, s):
+        vectors = _evaluate_level(vectors, level)
+    return tuple(vectors)
 
 
 def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, m: int,
@@ -564,13 +625,19 @@ def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, m: int,
     """In-process pair runner: (products, fundamental_mults,
     fundamental_adds) of packed length-m vector pairs in s-bit slots.
 
-    parallel_mul's pool runner runs it on each worker's share of the pairs.
+    Looks up the leaf operands of both vectors of every pair, multiplies
+    them pairwise and interpolates up level by level.  parallel_mul's pool
+    runner runs it on each worker's share of the pairs.
     """
-    if m <= cutoff:
-        products = list(starmap(mul, pairs))
-    else:
-        level = _level(m, k, cutoff, s)
-        products = [_toom_node(x, y, level) for x, y in pairs]
+    levels = _levels(m, k, cutoff, s)
+    xs, ys = zip(*pairs)
+    if levels:
+        # every x before any y: the trees of an operand shared with the
+        # previous product are then the most recently used ones when the
+        # other operand's trees enter the memo and evict the oldest
+        xs = [leaf for x in xs for leaf in _leaves(x, m, k, cutoff, s)]
+        ys = [leaf for y in ys for leaf in _leaves(y, m, k, cutoff, s)]
+    products = _interpolate_levels(list(map(mul, xs, ys)), levels)
     mults, adds = _tree_counts(m, k, cutoff)
     return products, len(pairs) * mults, len(pairs) * adds
 
@@ -580,10 +647,11 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     """The k-way engine product of two operands of any lengths.
 
     Packs the shorter operand and each block of the longer one once,
-    splits and evaluates the top level of every block, hands all operand
-    pairs to run_pairs(pairs, k, cutoff, m, s) in one call, then
-    interpolates each block, sums the block products and unpacks once; the
-    result does not depend on where run_pairs runs them.
+    splits and evaluates the top level of the shorter operand once and of
+    every block, hands all operand pairs to run_pairs(pairs, k, cutoff, m,
+    s) in one call, then interpolates each block, sums the block products
+    and unpacks once; the result does not depend on where run_pairs runs
+    them.
     """
     a._check_ring(b)
     long, short = a.coeffs, b.coeffs
@@ -595,9 +663,10 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
                      cutoff)
     y = _pack(short, s)
     xs = [_pack(long[i:i + ls], s) for i in range(0, len(long), ls)]
-    if ls > cutoff:
-        level = _level(ls, k, cutoff, s)
-        pairs = [pair for x in xs for pair in _split_evaluate(x, y, level)]
+    top = _levels(ls, k, cutoff, s)[:1]
+    if top:
+        ys = _evaluate_level([y], top[0])
+        pairs = list(zip(_evaluate_level(xs, top[0]), ys * blocks))
         m = -(-ls // k)
     else:
         pairs = [(x, y) for x in xs]
@@ -605,11 +674,9 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     products, mults, adds = run_pairs(pairs, k, cutoff, m, s)
     counter.add_mults(mults)
     counter.add_adds(adds + (blocks - 1) * (ls - 1))
-    if ls > cutoff:
+    if top:
         counter.add_adds(blocks * _node_adds(k, m))
-        width = 2 * k - 1
-        products = [_interpolate_recompose(products[i:i + width], level)
-                    for i in range(0, len(products), width)]
+    products = _interpolate_levels(products, top)
     out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
     return Polynomial(out, a.modulus)
 

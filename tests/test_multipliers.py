@@ -5,6 +5,8 @@ recursive transcription of the count recurrence M(n) = (2k-1) * M(ceil(n/k))
 for operation counts.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -28,7 +30,16 @@ from pqmul import (
     split,
     toomcook_mul,
 )
-from pqmul.multipliers import _exact_div, _pack, _range_check, _unpack
+from pqmul.multipliers import (
+    _MEMO_ENTRIES,
+    _STEPS,
+    _engine_bits,
+    _exact_div,
+    _leaves,
+    _pack,
+    _range_check,
+    _unpack,
+)
 from pqmul.poly import _schoolbook_coeffs
 
 
@@ -423,6 +434,197 @@ class TestPackedVectors:
         a = Polynomial([rng.choice((-1, 1)) << 70 for _ in range(300)])
         b = Polynomial([rng.randrange(-2 ** 70, 2 ** 70) for _ in range(45)])
         assert multiply(a, b, plan) == schoolbook_mul(a, b)
+
+
+@st.composite
+def narrow_vector(draw, max_size=64):
+    """(s, v): a slot width of 8-56 bits and a signed vector that fills it,
+    |c| < 2^(s-1), with one slot at the bound's edge."""
+    s = draw(st.sampled_from(range(8, 57, 8)))
+    lo, hi = -2 ** (s - 1), 2 ** (s - 1) - 1
+    v = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=max_size))
+    v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from((lo, hi)))
+    return s, v
+
+
+@st.composite
+def narrow_factors(draw):
+    """(s, a, b): a slot width of 8-56 bits and two signed vectors whose
+    product coefficients fit it: max|a| * max|b| * min(len) < 2^(s-1)."""
+    s = draw(st.sampled_from(range(8, 57, 8)))
+    la, lb = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    room = s - 1 - min(la, lb).bit_length()
+    bits_a = draw(st.integers(0, room))
+    ma, mb = 2 ** bits_a - 1, 2 ** (room - bits_a) - 1
+    a = draw(st.lists(st.integers(-ma, ma), min_size=la, max_size=la))
+    b = draw(st.lists(st.integers(-mb, mb), min_size=lb, max_size=lb))
+    return s, a, b
+
+
+#: The guard exponent per splitting factor: quotient slots lie in
+#: [-2^(s-g), 2^(s-g)), g = 3 for k = 3 (divisors <= 3), 4 for k = 4 (<= 8).
+GUARD = {3: 3, 4: 4}
+
+
+class TestNarrowSlots:
+    @PROPERTY
+    @given(narrow_vector())
+    @example((8, [127, -128]))
+    @example((56, [2 ** 55 - 1, -(2 ** 55), 0]))
+    def test_pack_unpack_round_trip(self, sv):
+        s, v = sv
+        packed = _pack(v, s)
+        assert packed == sum(c << (s * i) for i, c in enumerate(v))
+        assert _unpack(packed, len(v), s) == v
+
+    @PROPERTY
+    @given(narrow_factors())
+    @example((16, [127, 127], [-128, -128]))
+    @example((8, [-1] * 16, [7] * 16))
+    def test_packed_product_matches_row_loop(self, sab):
+        s, a, b = sab
+        got = _unpack(_pack(a, s) * _pack(b, s), len(a) + len(b) - 1, s)
+        assert got == _schoolbook_coeffs(a, b, OperationCounter())
+
+    @pytest.mark.parametrize("k, slots, d", [
+        (3, [1, -1], 3),        # 1 - 2^16 divides by 3; neither slot does
+        (4, [1, -1], 3),
+        (3, [4, 0, 1, 4], 2),   # one bad slot between good ones
+        (4, [4, 0, 1, 4], 2),
+        (4, [8, 4, 8], 8),      # 4 * 2^16 divides by 8; slot 1 does not
+    ])
+    def test_exact_division_guard(self, k, slots, d):
+        s = 16
+        x = _pack(slots, s)
+        assert x % d == 0
+        with pytest.raises(InternalArithmeticError):
+            _exact_div(x, d, _range_check(len(slots), s, s - GUARD[k]))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_exact_division_of_every_slot(self, k):
+        s = 16
+        guard = _range_check(3, s, s - GUARD[k])
+        q = _exact_div(_pack([9, -24, 3], s), 3, guard)
+        assert _unpack(q, 3, s) == [3, -8, 1]
+
+
+# ---------------------------------------------------------------------------
+# slot headroom at the byte boundary
+# ---------------------------------------------------------------------------
+
+#: Slot bits above the leaf bound V per splitting factor, and the growth g
+#: of the largest value per evaluation level (p(1), p(2), p(3) of an
+#: all-ones polynomial).
+HEADROOM = {2: 3, 3: 4, 4: 13}
+GROWTH = {2: 2, 3: 7, 4: 40}
+
+#: (n, cutoff) per k with no padding at any level, so the all-equal
+#: operands reach V on the path through the largest points.
+HEADROOM_SHAPES = {2: (64, 16), 3: (81, 9), 4: (64, 4)}
+
+#: Every division of the interpolation is exact on multiples of this.
+DIVISIBLE = 2 ** 10 * 3 ** 3 * 5 ** 2
+
+
+def headroom_case(k: int, offset: int):
+    """(c, n, cutoff, V, s): the largest c for which V = c^2 g^(2L) leaf_len
+    has bit length b with b + HEADROOM[k] = offset mod 8, and s, that sum
+    rounded up to whole bytes.  At offset 0 the slot has no rounding slack;
+    at offset 1 one bit less headroom would make it a byte narrower."""
+    n, cutoff = HEADROOM_SHAPES[k]
+    depth, leaf = 0, n
+    while leaf > cutoff:
+        leaf, depth = -(-leaf // k), depth + 1
+    scale = GROWTH[k] ** (2 * depth) * leaf
+    b = 48 + (offset - 48 - HEADROOM[k]) % 8
+    c = math.isqrt((2 ** b - 1) // scale)
+    bound = c * c * scale
+    assert bound.bit_length() == b and (b + HEADROOM[k]) % 8 == offset
+    return c, n, cutoff, bound, (b + HEADROOM[k] + 7) & -8
+
+
+def headroom_plan(k: int, cutoff: int) -> MethodPlan:
+    return (MethodPlan.karatsuba(base_cutoff=cutoff) if k == 2
+            else MethodPlan.toom(k, base_cutoff=cutoff))
+
+
+class TestSlotHeadroom:
+    """The slot width of each method, with its largest values at the
+    byte boundary: products of same-sign and alternating-sign operands, and
+    the interpolation step on every sign pattern of V-bounded inputs."""
+
+    @pytest.mark.parametrize("k, widths", [
+        (2, [48, 48, 48, 48]), (3, [56, 56, 56, 64]), (4, [72, 80, 80, 80])])
+    def test_widths_at_q_8192(self, k, widths):
+        """The benchmark's sizes N = 256, 512, 768, 1024 at cutoff 16."""
+        assert [_engine_bits(8191, 8191, n, k, 16)
+                for n in (256, 512, 768, 1024)] == widths
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_width_at_the_boundary(self, k, offset):
+        c, n, cutoff, _, s = headroom_case(k, offset)
+        assert _engine_bits(c, c, n, k, cutoff) == s
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_engine_products(self, k, offset):
+        c, n, cutoff, _, _ = headroom_case(k, offset)
+        same = Polynomial([c] * n)
+        alternating = Polynomial([(-1) ** i * c for i in range(n)])
+        plan = headroom_plan(k, cutoff)
+        for a, b in ((same, same), (alternating, alternating),
+                     (same, alternating)):
+            assert multiply(a, b, plan) == schoolbook_mul(a, b)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_interpolation(self, k, offset):
+        """Inputs of magnitude up to V in every sign pattern, one slot per
+        pattern, give the same slices in the engine's slots as in slots
+        four times as wide; no division guard fires."""
+        c, n, cutoff, bound, _ = headroom_case(k, offset)
+        s = _engine_bits(c, c, n, k, cutoff)
+        steps, edge = _STEPS[k], bound - bound % DIVISIBLE
+        signs = list(itertools.product((-1, 1), repeat=2 * k - 1))
+        inputs = [[p[j] * edge for p in signs] for j in range(2 * k - 1)]
+
+        def slices(width):
+            guard = _range_check(len(signs), width, width - steps.guard)
+            out = steps.interpolate([_pack(v, width) for v in inputs], guard)
+            return [_unpack(x, len(signs), width) for x in out]
+
+        assert slices(s) == slices(4 * s)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation memo
+# ---------------------------------------------------------------------------
+
+class TestLeafMemo:
+    @pytest.mark.parametrize("plan", ENGINE_PLANS)
+    @pytest.mark.parametrize("la, lb", [(300, 300), (70, 300)])
+    def test_cleared_and_warm_memo_agree(self, plan, la, lb):
+        a = Polynomial.random(la, 8192, seed=la, modulus=8192)
+        b = Polynomial.random(lb, 8192, seed=lb + 1, modulus=8192)
+        _leaves.cache_clear()
+        cold_counter, warm_counter = OperationCounter(), OperationCounter()
+        cold = multiply(a, b, plan, cold_counter)
+        assert _leaves.cache_info().currsize > 0
+        warm = multiply(a, b, plan, warm_counter)
+        assert _leaves.cache_info().hits > 0
+        assert cold.coeffs == warm.coeffs == schoolbook_mul(a, b).coeffs
+        assert cold_counter == warm_counter
+
+    def test_memo_size_is_bounded(self):
+        _leaves.cache_clear()
+        shared = Polynomial.random(64, 4096, seed=1, modulus=4096)
+        for seed in range(200):
+            b = Polynomial.random(64, 4096, seed=seed + 2, modulus=4096)
+            multiply(shared, b, MethodPlan.toom(4, base_cutoff=4))
+        info = _leaves.cache_info()
+        assert info.misses >= 200
+        assert info.currsize <= _MEMO_ENTRIES
 
 
 class TestEngineProperties:

@@ -103,6 +103,24 @@ class TestScheduleIndependence:
                 assert got == schoolbook_mul(a, b)
 
 
+class TestSharedOperand:
+    def test_repeated_operand_matches_multiply(self):
+        """Each worker sees the same evaluations of the shared operand on
+        every call, so its evaluation memo hits; products and counts stay
+        those of the sequential engine."""
+        shared = Polynomial.random(300, 8192, seed=30, modulus=8192)
+        for plan in (MethodPlan.karatsuba(), MethodPlan.toom(3),
+                     MethodPlan.toom(4)):
+            for seed, length in ((31, 300), (32, 300), (33, 70), (34, 70)):
+                b = Polynomial.random(length, 8192, seed=seed, modulus=8192)
+                seq_counter = OperationCounter()
+                seq = multiply(shared, b, plan, seq_counter)
+                got, counter = parallel_mul(shared, b,
+                                            replace(plan, workers=2))
+                assert got == seq == schoolbook_mul(shared, b)
+                assert counter == seq_counter
+
+
 class TestThreadSafety:
     def test_concurrent_invocations_stay_correct(self):
         import threading
