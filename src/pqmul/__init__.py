@@ -42,17 +42,13 @@ from .multipliers import (
     MethodPlan,
     evaluate_parts,
     interpolate,
-    karatsuba_mul,
     multiply,
     predicted_mult_count,
-    recompose,
     recursion_depth,
     split,
-    toomcook_mul,
 )
 from .parallel import parallel_mul, shutdown_pools
 from .policy import (
-    LoadSmoother,
     RuleEntry,
     RuleTable,
     SystemState,

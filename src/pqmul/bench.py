@@ -222,7 +222,10 @@ def import_records(path, fmt: str | None = None) -> list[BenchmarkRecord]:
                 records.append(_record_from_row(row, path))
     elif fmt == "json":
         with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
+            try:
+                rows = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(rows, list):
             raise InvalidInputError(f"{path}: expected a JSON array of records")
         for row in rows:
@@ -240,7 +243,7 @@ def _record_from_row(row: dict, path) -> BenchmarkRecord:
             degree=int(row["degree"]), load_pct=int(row["load_pct"]),
             run_index=int(row["run_index"]), elapsed_ns=int(row["elapsed_ns"]),
             mult_count=int(row["mult_count"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: bad record row {row!r}: {exc}") from exc
 
 

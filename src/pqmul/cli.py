@@ -65,17 +65,34 @@ def _parse_poly(text: str, modulus: int | None) -> Polynomial:
     return Polynomial(coeffs, modulus)
 
 
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"bad integer {text!r} in {where!r}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
     """"0:90:5" inclusive range or "0,5,25" comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidInputError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = (_int(p, text) for p in parts)
         if step < 1:
             raise InvalidInputError("range step must be >= 1")
         return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
+    return [_int(v, text) for v in text.split(",")]
+
+
+def _plan(method: str, k: int, workers: int, cutoff: int) -> MethodPlan:
+    """The plan of a method name: schoolbook ignores k and cutoff,
+    Karatsuba ignores k."""
+    if method == "schoolbook":
+        return MethodPlan.schoolbook(workers=workers)
+    if method == "karatsuba":
+        return MethodPlan.karatsuba(workers=workers, base_cutoff=cutoff)
+    return MethodPlan.toom(k=k, workers=workers, base_cutoff=cutoff)
 
 
 def _parse_plan(token: str, default_cutoff: int) -> MethodPlan:
@@ -85,29 +102,16 @@ def _parse_plan(token: str, default_cutoff: int) -> MethodPlan:
     workers, cutoff = 1, default_cutoff
     for extra in parts[1:]:
         if extra.startswith("w"):
-            workers = int(extra[1:])
+            workers = _int(extra[1:], token)
         elif extra.startswith("c"):
-            cutoff = int(extra[1:])
+            cutoff = _int(extra[1:], token)
         else:
             raise InvalidInputError(f"bad plan modifier {extra!r} in {token!r}")
-    if name == "schoolbook":
-        return MethodPlan.schoolbook(workers=workers)
-    if name == "karatsuba":
-        return MethodPlan.karatsuba(workers=workers, base_cutoff=cutoff)
     if name in ("toom3", "toom4"):
-        return MethodPlan.toom(k=int(name[-1]), workers=workers,
-                               base_cutoff=cutoff)
-    raise InvalidInputError(f"unknown plan {name!r}")
-
-
-def _plan_from_flags(args) -> MethodPlan:
-    if args.method == "schoolbook":
-        return MethodPlan.schoolbook(workers=args.workers)
-    if args.method == "karatsuba":
-        return MethodPlan.karatsuba(workers=args.workers,
-                                    base_cutoff=args.cutoff)
-    return MethodPlan.toom(k=args.k, workers=args.workers,
-                           base_cutoff=args.cutoff)
+        return _plan("toom", int(name[-1]), workers, cutoff)
+    if name not in ("schoolbook", "karatsuba"):
+        raise InvalidInputError(f"unknown plan {name!r}")
+    return _plan(name, 0, workers, cutoff)
 
 
 def _parse_bands(text: str) -> list[tuple[int, int]]:
@@ -116,7 +120,7 @@ def _parse_bands(text: str) -> list[tuple[int, int]]:
         lo, sep, hi = token.partition("-")
         if not sep:
             raise InvalidInputError(f"band must be min-max, got {token!r}")
-        bands.append((int(lo), int(hi)))
+        bands.append((_int(lo, token), _int(hi, token)))
     return bands
 
 
@@ -145,7 +149,7 @@ class LiveTimer:
 # ---------------------------------------------------------------------------
 
 def cmd_multiply(args) -> int:
-    plan = _plan_from_flags(args)
+    plan = _plan(args.method, args.k, args.workers, args.cutoff)
     a = _parse_poly(args.a, args.modulus)
     b = _parse_poly(args.b, args.modulus)
     result, counter = parallel_mul(a, b, plan)
@@ -170,13 +174,9 @@ def cmd_multiply(args) -> int:
 def cmd_count_check(args) -> int:
     """Verify measured base-case multiplication counts against the formulas."""
     failures = 0
-    for n in _parse_int_list(args.lengths):
-        if args.method == "schoolbook":
-            plan = MethodPlan.schoolbook()
-        elif args.method == "karatsuba":
-            plan = MethodPlan.karatsuba(base_cutoff=1)
-        else:
-            plan = MethodPlan.toom(k=args.k, base_cutoff=1)
+    lengths = _parse_int_list(args.lengths)
+    plan = _plan(args.method, args.k, 1, 1)
+    for n in lengths:
         a = Polynomial.random(n, 64, derive_seed(args.seed, n, 0), args.modulus) \
             if n > 1 else Polynomial([1], args.modulus)
         b = Polynomial.random(n, 64, derive_seed(args.seed, n, 1), args.modulus) \

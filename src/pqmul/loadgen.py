@@ -115,12 +115,6 @@ class LoadHandle:
     def stop(self) -> None:
         self._finalizer()  # no-op once it has run
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-
     def _busy_totals(self) -> list[float]:
         return [acc.value for acc in self._accounts]
 

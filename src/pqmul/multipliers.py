@@ -83,7 +83,7 @@ Evaluation trees.  _engine_mul cuts and evaluates the top level itself, the
 shorter operand once, and hands the 2k-1 operand pairs of every block on.
 Each pair then takes three steps: look up the leaf operands of both
 vectors' evaluation trees, multiply them pairwise (one big-int product per
-leaf), and interpolate and recompose level by level, bottom up, in groups
+leaf), and interpolate and recombine level by level, bottom up, in groups
 of 2k-1.  _leaves maps a packed vector and its shape (n, k, cutoff, s) to
 the tuple of its leaf operands, the 2k-1 children of each node next to
 each other.  It is a pure function behind an LRU memo of _MEMO_ENTRIES
@@ -122,11 +122,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add as _add, mul
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import InternalArithmeticError, InvalidInputError, InvalidPlanError
-from .poly import OperationCounter, Polynomial
+from .poly import OperationCounter, Polynomial, schoolbook_mul
 
 SCHOOLBOOK = "schoolbook"
 KARATSUBA = "karatsuba"
@@ -191,11 +191,6 @@ class MethodPlan:
         return cls(TOOMCOOK, k=k, workers=workers, base_cutoff=base_cutoff)
 
     @property
-    def split_factor(self) -> int:
-        """Effective k of the shared engine (2 for Karatsuba)."""
-        return 2 if self.method == KARATSUBA else self.k
-
-    @property
     def label(self) -> str:
         if self.method == TOOMCOOK:
             return f"toom{self.k}-w{self.workers}"
@@ -208,11 +203,13 @@ class MethodPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "MethodPlan":
         try:
-            return cls(method=d["method"], k=int(d["k"]),
-                       workers=int(d["workers"]),
-                       base_cutoff=int(d["base_cutoff"]))
+            fields = (d["method"], int(d["k"]), int(d["workers"]),
+                      int(d["base_cutoff"]))
         except KeyError as exc:
             raise InvalidPlanError(f"plan descriptor missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidPlanError(f"bad plan descriptor {d!r}: {exc}") from exc
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +435,7 @@ def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
 
     Every part has length ceil(len(p)/k); the last part is zero-padded.  The
     parts are raw lists (padding would be stripped by Polynomial
-    normalization) and recompose(split(p, k), part_len) restores p exactly.
+    normalization) and their concatenation is p with trailing zeros.
     """
     if k < 2:
         raise InvalidInputError(f"splitting factor must be >= 2, got {k}")
@@ -446,31 +443,6 @@ def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
     m = -(-len(coeffs) // k)
     coeffs += [0] * (m * k - len(coeffs))
     return [coeffs[i * m:(i + 1) * m] for i in range(k)]
-
-
-def recompose(parts: list[list[int]], stride: int,
-              counter: OperationCounter | None = None) -> list[int]:
-    """Sum part vectors placed at offsets 0, stride, 2*stride, ...
-
-    Inverse of split when stride = part length; also recombines the
-    (overlapping) interpolation output slices, stride = original part
-    length.  The output has stride*(len(parts)-1)+len(parts[-1])
-    coefficients.  Only the coefficients a part shares with earlier parts
-    are added; with a counter, each of those adds is counted.
-    """
-    if not parts:
-        return [0]
-    out: list[int] = []
-    for i, part in enumerate(parts):
-        base = i * stride
-        if base > len(out):
-            out += [0] * (base - len(out))
-        shared = min(len(out) - base, len(part))
-        out[base:base + shared] = map(_add, out[base:base + shared], part)
-        out += part[shared:]
-    if counter is not None:
-        counter.add_adds(sum(map(len, parts)) - len(out))
-    return out
 
 
 def _max_abs(vectors) -> int:
@@ -501,8 +473,9 @@ def interpolate(pointwise_products: list[list[int]], k: int,
     """Recover the 2k-1 result-coefficient slices from pointwise products.
 
     Solves the evaluation system of EVALUATION_POINTS[k] exactly over the
-    integers; recompose(result, part_len) is the full product.  A nonzero
-    remainder in any division is an implementation defect and raises.
+    integers; the product is the sum of slice i times x^(i*part_len).  A
+    nonzero remainder in any division is an implementation defect and
+    raises.
     """
     if len(pointwise_products) != 2 * k - 1:
         raise InvalidInputError(
@@ -681,48 +654,20 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     return Polynomial(out, a.modulus)
 
 
-def karatsuba_mul(a: Polynomial, b: Polynomial,
-                  plan: MethodPlan | None = None,
-                  counter: OperationCounter | None = None) -> Polynomial:
-    """Karatsuba product: 3 subproducts per halving instead of 4.
-
-    With base_cutoff = 1 and both lengths N = 2^m the counter grows by
-    exactly 3^m fundamental multiplications.  The result always equals
-    schoolbook_mul(a, b).
-    """
-    if plan is None:
-        plan = MethodPlan.karatsuba()
-    if plan.method != KARATSUBA:
-        raise InvalidPlanError(f"plan method is {plan.method!r}, expected karatsuba")
-    if counter is None:
-        counter = OperationCounter()
-    return _engine_mul(a, b, 2, plan.base_cutoff, counter)
-
-
-def toomcook_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
-                 counter: OperationCounter | None = None) -> Polynomial:
-    """Toom-Cook k-way product, k in {3, 4}: 2k-1 subproducts per split.
-
-    With base_cutoff = 1 and lengths N = k^m the counter grows by exactly
-    (2k-1)^m fundamental multiplications.  The result always equals
-    schoolbook_mul(a, b).
-    """
-    if plan.method != TOOMCOOK:
-        raise InvalidPlanError(f"plan method is {plan.method!r}, expected toom")
-    if counter is None:
-        counter = OperationCounter()
-    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter)
-
-
 def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,
              counter: OperationCounter | None = None) -> Polynomial:
-    """Multiply with whichever method the plan names (sequential path)."""
+    """Multiply with whichever method the plan names (sequential path).
+
+    Karatsuba (k = 2) and Toom-Cook (k = 3, 4) make 2k-1 subproducts per
+    split: with base_cutoff = 1 and both lengths N = k^m the counter grows
+    by exactly (2k-1)^m fundamental multiplications.  The result always
+    equals schoolbook_mul(a, b).
+    """
+    if counter is None:
+        counter = OperationCounter()
     if plan.method == SCHOOLBOOK:
-        from .poly import schoolbook_mul
         return schoolbook_mul(a, b, counter)
-    if plan.method == KARATSUBA:
-        return karatsuba_mul(a, b, plan, counter)
-    return toomcook_mul(a, b, plan, counter)
+    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter)
 
 
 def predicted_mult_count(plan: MethodPlan, n: int) -> int:
@@ -736,7 +681,7 @@ def predicted_mult_count(plan: MethodPlan, n: int) -> int:
         raise InvalidInputError(f"operand length must be >= 1, got {n}")
     if plan.method == SCHOOLBOOK:
         return n * n
-    k = plan.split_factor
+    k = plan.k
     subproducts = 1
     while n > plan.base_cutoff:
         subproducts *= 2 * k - 1
@@ -755,7 +700,7 @@ def recursion_depth(plan: MethodPlan, n: int) -> int:
         raise InvalidInputError(f"operand length must be >= 1, got {n}")
     if plan.method == SCHOOLBOOK:
         return 0
-    k = plan.split_factor
+    k = plan.k
     depth = 0
     while n > plan.base_cutoff:
         n = -(-n // k)

@@ -112,5 +112,5 @@ def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan
     counter = OperationCounter()
     if plan.method == SCHOOLBOOK or plan.workers == 1:
         return multiply(a, b, plan, counter), counter
-    return _engine_mul(a, b, plan.split_factor, plan.base_cutoff, counter,
+    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter,
                        partial(_run_on_pool, plan.workers)), counter

@@ -30,6 +30,10 @@ from .multipliers import KARATSUBA, TOOMCOOK, MethodPlan
 
 RULE_FILE_VERSION = 1
 
+#: Load points by which select_method widens the threshold in favor of the
+#: previously selected plan.
+HYSTERESIS_PCT = 5.0
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -240,20 +244,15 @@ def calibrate(records: list[BenchmarkRecord],
 # ---------------------------------------------------------------------------
 
 def select_method(table: RuleTable, state: SystemState,
-                  previous: MethodPlan | None = None,
-                  hysteresis_pct: float = 5.0,
-                  time_model: "TimeModel | None" = None,
-                  tie_margin_pct: float = 5.0) -> MethodPlan:
+                  previous: MethodPlan | None = None) -> MethodPlan:
     """Pick the plan for the given system state (total, deterministic).
 
     One available core always means sequential Karatsuba.  Otherwise, within
     the matching degree band: parallel Toom-Cook below the
     parallel-vs-Karatsuba threshold, Karatsuba at or above it.  Sequential
     Toom-Cook is never selected.  Passing the previously selected plan
-    widens the threshold by hysteresis_pct in its favor so a load hovering
-    at the boundary does not flap; passing a time model prefers the
-    fewer-worker plan whenever the predicted times are within
-    tie_margin_pct of each other.
+    widens the threshold by HYSTERESIS_PCT in its favor so a load hovering
+    at the boundary does not flap.
     """
     if state.available_cores == 1:
         return table.default_plan
@@ -266,18 +265,11 @@ def select_method(table: RuleTable, state: SystemState,
     threshold = entry.threshold_parallel_vs_karatsuba_pct
     if previous is not None:
         if previous == entry.parallel_plan:
-            threshold += hysteresis_pct
+            threshold += HYSTERESIS_PCT
         elif previous == entry.karatsuba_plan:
-            threshold -= hysteresis_pct
+            threshold -= HYSTERESIS_PCT
     if state.load_pct >= threshold:
         return entry.karatsuba_plan
-    if time_model is not None:
-        t_par = time_model.predict(entry.parallel_plan, state.degree,
-                                   state.load_pct)
-        t_kar = time_model.predict(entry.karatsuba_plan, state.degree,
-                                   state.load_pct)
-        if abs(t_par - t_kar) <= tie_margin_pct / 100.0 * min(t_par, t_kar):
-            return entry.karatsuba_plan
     return entry.parallel_plan
 
 
@@ -320,27 +312,6 @@ class TimeModel:
                 frac = (load_pct - l0) / (l1 - l0)
                 return t0 + frac * (t1 - t0)
         raise CoverageError(f"load {load_pct} not bracketed by {curve}")
-
-
-class LoadSmoother:
-    """Exponentially-weighted moving average of observed load.
-
-    Callers feed raw load observations and pass the smoothed value to
-    select_method; this is the only form of future-load prediction here.
-    """
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0 < alpha <= 1:
-            raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value: float | None = None
-
-    def update(self, load_pct: float) -> float:
-        if self.value is None:
-            self.value = float(load_pct)
-        else:
-            self.value += self.alpha * (load_pct - self.value)
-        return self.value
 
 
 # ---------------------------------------------------------------------------

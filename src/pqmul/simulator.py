@@ -266,21 +266,19 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     raw_nodes = need(data, "mec_nodes", where)
     if not isinstance(raw_nodes, list):
         raise ScenarioError(f"{where}.mec_nodes: expected a list")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        nodes.append(MecNode(
-            cores=need(raw, "cores", f"{where}.mec_nodes[{i}]"),
-            load_trace=tuple(
-                tuple(bp) for bp in
-                need(raw, "background_load_trace", f"{where}.mec_nodes[{i}]"))))
     fixed_raw = data.get("fixed_plan")
-    fixed_plan = None
-    if fixed_raw is not None:
-        try:
-            fixed_plan = MethodPlan.from_dict(fixed_raw)
-        except InvalidPlanError as exc:
-            raise ScenarioError(f"{where}.fixed_plan: {exc}") from exc
     try:
+        nodes = []
+        for i, raw in enumerate(raw_nodes):
+            nodes.append(MecNode(
+                cores=need(raw, "cores", f"{where}.mec_nodes[{i}]"),
+                load_trace=tuple(
+                    tuple(bp) for bp in
+                    need(raw, "background_load_trace",
+                         f"{where}.mec_nodes[{i}]"))))
+        fixed_plan = None
+        if fixed_raw is not None:
+            fixed_plan = MethodPlan.from_dict(fixed_raw)
         return Scenario(
             mec_nodes=tuple(nodes),
             vehicles=int(need(data, "vehicles", where)),
@@ -291,6 +289,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             seed=int(data.get("seed", 0)),
             policy_mode=str(data.get("policy_mode", "rule_table")),
             fixed_plan=fixed_plan)
+    except InvalidPlanError as exc:
+        raise ScenarioError(f"{where}.fixed_plan: {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise

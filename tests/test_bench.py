@@ -1,5 +1,8 @@
 """Benchmark harness: grid execution, aggregation, record round-trips."""
 
+import json
+from dataclasses import astuple
+
 import pytest
 
 from pqmul import (
@@ -153,6 +156,17 @@ class TestRoundTrips:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidInputError):
             export_records([], "xml", tmp_path / "r.xml")
+
+    @pytest.mark.parametrize("text", [
+        "[[0",
+        "[[0]]",
+        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())), k=None)]),
+    ], ids=["invalid", "list_row", "null_field"])
+    def test_malformed_json_names_path(self, text, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="bad.json"):
+            import_records(path)
 
 
 def test_host_metadata_documents_core_count():

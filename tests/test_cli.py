@@ -110,6 +110,18 @@ class TestCountCheck:
         assert "N=8 measured=64 predicted=64 ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    "bench --degrees 5x --out {tmp}/r.csv",
+    "bench --plans karatsuba:wx --out {tmp}/r.csv",
+    "count-check --method karatsuba --lengths 1:x:1",
+    "calibrate --records {records} --bands 10- --out {tmp}/rules.json",
+])
+def test_malformed_number_exits_2(argv, tmp_path, capsys):
+    records = synthetic_records_file(tmp_path)
+    assert main(argv.format(tmp=tmp_path, records=records).split()) == 2
+    assert capsys.readouterr().err.startswith("error: bad integer")
+
+
 class TestBench:
     def test_minimal_run_writes_records_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "recs.csv"

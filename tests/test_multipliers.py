@@ -21,14 +21,11 @@ from pqmul import (
     Polynomial,
     evaluate_parts,
     interpolate,
-    karatsuba_mul,
     multiply,
     predicted_mult_count,
-    recompose,
     recursion_depth,
     schoolbook_mul,
     split,
-    toomcook_mul,
 )
 from pqmul.multipliers import (
     _MEMO_ENTRIES,
@@ -101,8 +98,8 @@ class TestSplit:
             parts = split(p, k)
             assert len(parts) == k
             assert all(len(part) == len(parts[0]) for part in parts)
-            back = recompose(parts, len(parts[0]))
-            assert Polynomial(back) == p
+            flat = [c for part in parts for c in part]
+            assert flat == list(p.coeffs) + [0] * (len(flat) - n)
 
 
 class TestEvaluateParts:
@@ -137,15 +134,13 @@ class TestInterpolate:
         pa, pb = split(Polynomial([3, 4]), 2), split(Polynomial([1, 2]), 2)
         ea, eb = evaluate_parts(pa, 2), evaluate_parts(pb, 2)
         products = [[x * y for x, y in zip(u, v)] for u, v in zip(ea, eb)]
-        slices = interpolate(products, 2)
-        assert Polynomial(recompose(slices, 1)) == Polynomial([3, 10, 8])
+        assert interpolate(products, 2) == [[3], [10], [8]]
 
     def test_k3_square_of_ones(self):
         p = split(Polynomial([1, 1, 1]), 3)
         evals = evaluate_parts(p, 3)
         products = [[x * y for x, y in zip(u, u)] for u in evals]
-        slices = interpolate(products, 3)
-        assert Polynomial(recompose(slices, 1)) == Polynomial([1, 2, 3, 2, 1])
+        assert interpolate(products, 3) == [[1], [2], [3], [2], [1]]
 
     def test_all_zero_products(self):
         slices = interpolate([[0, 0]] * 5, 3)
@@ -169,8 +164,8 @@ class TestInterpolate:
 class TestKaratsuba:
     def test_two_digit_case_three_mults(self):
         c = OperationCounter()
-        r = karatsuba_mul(Polynomial([3, 4]), Polynomial([1, 2]),
-                          MethodPlan.karatsuba(base_cutoff=1), c)
+        r = multiply(Polynomial([3, 4]), Polynomial([1, 2]),
+                     MethodPlan.karatsuba(base_cutoff=1), c)
         assert r.coeffs == (3, 10, 8)
         assert c.fundamental_mults == 3
 
@@ -181,17 +176,13 @@ class TestKaratsuba:
         c = OperationCounter()
         a = Polynomial.random(512, 4096, seed=11)
         b = Polynomial.random(512, 4096, seed=12)
-        karatsuba_mul(a, b, MethodPlan.karatsuba(base_cutoff=1), c)
+        multiply(a, b, MethodPlan.karatsuba(base_cutoff=1), c)
         assert c.fundamental_mults == expected
 
     def test_uneven_lengths_match_oracle(self):
         a = Polynomial.random(100, 1000, seed=21)
         b = Polynomial.random(37, 1000, seed=22)
-        assert karatsuba_mul(a, b) == schoolbook_mul(a, b)
-
-    def test_rejects_foreign_plan(self):
-        with pytest.raises(InvalidPlanError):
-            karatsuba_mul(Polynomial([1]), Polynomial([1]), MethodPlan.toom(3))
+        assert multiply(a, b, MethodPlan.karatsuba()) == schoolbook_mul(a, b)
 
 
 class TestToomCook:
@@ -201,7 +192,7 @@ class TestToomCook:
         c = OperationCounter()
         a = Polynomial.random(729, 4096, seed=13)
         b = Polynomial.random(729, 4096, seed=14)
-        toomcook_mul(a, b, MethodPlan.toom(3, base_cutoff=1), c)
+        multiply(a, b, MethodPlan.toom(3, base_cutoff=1), c)
         assert c.fundamental_mults == expected
 
     def test_toom4_power_length_count(self):
@@ -210,22 +201,17 @@ class TestToomCook:
         c = OperationCounter()
         a = Polynomial.random(256, 999, seed=15)
         b = Polynomial.random(256, 999, seed=16)
-        toomcook_mul(a, b, MethodPlan.toom(4, base_cutoff=1), c)
+        multiply(a, b, MethodPlan.toom(4, base_cutoff=1), c)
         assert c.fundamental_mults == expected
 
     def test_square_of_ones(self):
         p = Polynomial([1, 1, 1])
-        r = toomcook_mul(p, p, MethodPlan.toom(3, base_cutoff=1))
+        r = multiply(p, p, MethodPlan.toom(3, base_cutoff=1))
         assert r.coeffs == (1, 2, 3, 2, 1)
 
     def test_identity(self):
         a = Polynomial.random(50, 100, seed=17)
-        assert toomcook_mul(a, Polynomial([1]), MethodPlan.toom(3)) == a
-
-    def test_rejects_foreign_plan(self):
-        with pytest.raises(InvalidPlanError):
-            toomcook_mul(Polynomial([1]), Polynomial([1]),
-                         MethodPlan.karatsuba())
+        assert multiply(a, Polynomial([1]), MethodPlan.toom(3)) == a
 
 
 class TestOracleEquivalence:
@@ -255,14 +241,14 @@ class TestOracleEquivalence:
             a = Polynomial.random(n, 50, seed=n)
             b = Polynomial.random(n, 50, seed=n + 1)
             ref = schoolbook_mul(a, b)
-            assert toomcook_mul(a, b, MethodPlan.toom(3, base_cutoff=1)) == ref
-            assert toomcook_mul(a, b, MethodPlan.toom(4, base_cutoff=1)) == ref
+            assert multiply(a, b, MethodPlan.toom(3, base_cutoff=1)) == ref
+            assert multiply(a, b, MethodPlan.toom(4, base_cutoff=1)) == ref
 
     def test_zero_polynomial(self):
         z = Polynomial([0])
         a = Polynomial.random(30, 10, seed=9)
-        assert toomcook_mul(a, z, MethodPlan.toom(3)).is_zero()
-        assert karatsuba_mul(z, z).is_zero()
+        assert multiply(a, z, MethodPlan.toom(3)).is_zero()
+        assert multiply(z, z, MethodPlan.karatsuba()).is_zero()
 
 
 class TestPredictedCount:

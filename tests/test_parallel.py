@@ -237,7 +237,7 @@ class TestDispatchShape:
         long, short = list(a.coeffs), list(b.coeffs)
         if len(long) < len(short):
             long, short = short, long
-        ls, k = len(short), plan.split_factor
+        ls, k = len(short), plan.k
         blocks = [long[i:i + ls] for i in range(0, len(long), ls)]
         blocks[-1] += [0] * (ls - len(blocks[-1]))
         if ls > plan.base_cutoff:

@@ -9,7 +9,6 @@ from pqmul import (
     BenchmarkRecord,
     CalibrationError,
     CoverageError,
-    InvalidInputError,
     MethodPlan,
     RuleEntry,
     RuleTable,
@@ -20,7 +19,7 @@ from pqmul import (
     save_rules,
     select_method,
 )
-from pqmul.policy import LoadSmoother, table_to_dict
+from pqmul.policy import HYSTERESIS_PCT, table_to_dict
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
 TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
@@ -261,17 +260,17 @@ class TestSelectMethod:
         assert select_method(table, state) == TOOM_PAR
         assert select_method(table, state, previous=KARATSUBA) == KARATSUBA
 
-    def test_tie_break_prefers_fewer_workers(self):
-        loads = [0, 10, 20, 30, 40, 50]
-        # parallel nominally wins at low load but within 3%: tie-break
-        curves = linear_curves(loads, kar_base=10e6, kar_slope=0.0,
-                               par_base=9.8e6, par_slope=0.05e6)
-        records = records_from_curves(curves)
-        table = calibrate(records, [(512, 512)])
-        model = TimeModel.from_records(records)
-        state = SystemState(512, 0, 5)
-        assert select_method(table, state) == TOOM_PAR
-        assert select_method(table, state, time_model=model) == KARATSUBA
+    @pytest.mark.parametrize("previous, flip_at", [
+        (TOOM_PAR, 25.0 + HYSTERESIS_PCT),
+        (KARATSUBA, 25.0 - HYSTERESIS_PCT),
+    ])
+    def test_hysteresis_margin_boundary(self, previous, flip_at):
+        # the widened threshold is exclusive for parallel, like the hard one
+        table = make_table()
+        assert select_method(table, SystemState(512, flip_at - 0.01, 5),
+                             previous=previous) == TOOM_PAR
+        assert select_method(table, SystemState(512, flip_at, 5),
+                             previous=previous) == KARATSUBA
 
 
 class TestTimeModel:
@@ -376,20 +375,3 @@ class TestPersistence:
         path.write_text("{nope")
         with pytest.raises(RuleTableError, match="JSON"):
             load_rules(path)
-
-
-class TestLoadSmoother:
-    def test_first_observation_taken_verbatim(self):
-        s = LoadSmoother(alpha=0.5)
-        assert s.update(40) == 40
-
-    def test_converges_toward_constant_input(self):
-        s = LoadSmoother(alpha=0.5)
-        s.update(0)
-        for _ in range(20):
-            v = s.update(80)
-        assert v == pytest.approx(80, abs=0.1)
-
-    def test_alpha_validated(self):
-        with pytest.raises(InvalidInputError):
-            LoadSmoother(alpha=0)

@@ -252,6 +252,25 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cores", "2"),
+        ("background_load_trace", [["a", 5]]),
+        ("background_load_trace", [5]),
+        ("fixed_plan", {"method": "toom", "k": "x", "workers": 1,
+                        "base_cutoff": 16}),
+        ("fixed_plan", [1]),
+    ])
+    def test_malformed_value_exits_2(self, field, value, tmp_path, capsys):
+        from pqmul.cli import main
+        data = scenario_to_dict(make_scenario())
+        (data if field == "fixed_plan" else data["mec_nodes"][0])[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path), "--live"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_fixed_plan_round_trip(self, tmp_path):
         scenario = make_scenario(policy_mode="fixed_plan", fixed_plan=TOOM_PAR)
         path = tmp_path / "s.json"
