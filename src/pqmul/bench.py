@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidInputError, TimerResolutionError
-from .loadgen import DEFAULT_PERIOD_MS, LoadProfile, start_load, usable_cpu_count
+from .loadgen import LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan
 from .parallel import parallel_mul
 from .poly import Polynomial, derive_seed
@@ -125,8 +125,7 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
     for di, degree in enumerate(spec.degrees):
         for li, load in enumerate(spec.load_levels_pct):
             for pi, plan in enumerate(spec.plans):
-                handle = start_load(LoadProfile(
-                    spec.loaded_workers, load, DEFAULT_PERIOD_MS))
+                handle = start_load(LoadProfile(spec.loaded_workers, load))
                 try:
                     for warm in range(WARMUP_RUNS):
                         a = Polynomial.random(degree, bound, derive_seed(
@@ -207,42 +206,35 @@ def export_records(records: list[BenchmarkRecord], fmt: str, path) -> None:
         raise InvalidInputError(f"unknown record format {fmt!r}")
 
 
-def import_records(path, fmt: str | None = None) -> list[BenchmarkRecord]:
-    """Read records written by export_records; fmt inferred from the suffix."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    records = []
-    if fmt == "csv":
+def import_records(path) -> list[BenchmarkRecord]:
+    """Read records written by export_records: JSON if the path ends in
+    .json, else CSV."""
+    if not str(path).endswith(".json"):
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(CSV_COLUMNS):
                 raise InvalidInputError(
                     f"{path}: unexpected CSV header {reader.fieldnames}")
-            for row in reader:
-                records.append(_record_from_row(row, path))
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                rows = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(rows, list):
-            raise InvalidInputError(f"{path}: expected a JSON array of records")
-        for row in rows:
-            records.append(_record_from_row(row, path))
-    else:
-        raise InvalidInputError(f"unknown record format {fmt!r}")
-    return records
+            return [_record_from_row(row, path) for row in reader]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            rows = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{path}: expected a JSON array of records")
+    return [_record_from_row(row, path, typed=True) for row in rows]
 
 
-def _record_from_row(row: dict, path) -> BenchmarkRecord:
+def _record_from_row(row: dict, path, typed: bool = False) -> BenchmarkRecord:
+    """A record from a row of CSV strings, or of JSON values (typed), where
+    the method must be a str and every other field an int, not a bool."""
     try:
-        return BenchmarkRecord(
-            method=str(row["method"]), k=int(row["k"]),
-            workers=int(row["workers"]), base_cutoff=int(row["base_cutoff"]),
-            degree=int(row["degree"]), load_pct=int(row["load_pct"]),
-            run_index=int(row["run_index"]), elapsed_ns=int(row["elapsed_ns"]),
-            mult_count=int(row["mult_count"]))
+        method, *ints = [row[col] for col in CSV_COLUMNS]
+        if typed and (type(method) is not str
+                      or any(type(v) is not int for v in ints)):
+            raise TypeError("method must be a string, the rest integers")
+        return BenchmarkRecord(str(method), *map(int, ints))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: bad record row {row!r}: {exc}") from exc
 

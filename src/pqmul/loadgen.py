@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidInputError
 
-#: Duty-cycle period used by the benchmark harness and the CLI.
-DEFAULT_PERIOD_MS = 10.0
+#: Duty-cycle period of every load worker.
+PERIOD_MS = 10.0
 
 # Busy-time accounting is flushed to shared memory this often (seconds) so a
 # measurement window never misses more than ~1 ms per worker.
@@ -45,7 +45,6 @@ class LoadProfile:
 
     loaded_workers: int
     target_load_pct: int
-    period_ms: float = DEFAULT_PERIOD_MS
 
     def __post_init__(self):
         if self.loaded_workers < 0:
@@ -54,9 +53,6 @@ class LoadProfile:
         if not 0 <= self.target_load_pct <= 100:
             raise InvalidInputError(
                 f"target_load_pct must be in [0, 100], got {self.target_load_pct}")
-        if self.period_ms < 1:
-            raise InvalidInputError(
-                f"period_ms must be >= 1, got {self.period_ms}")
 
 
 def _duty_cycle_worker(stop_event, busy_acc, target_pct, period_s):
@@ -106,7 +102,7 @@ class LoadHandle:
         self._procs = procs
         self._accounts = accounts
         self._finalizer = weakref.finalize(
-            self, _terminate, stop_event, procs, profile.period_ms / 1000.0)
+            self, _terminate, stop_event, procs, PERIOD_MS / 1000.0)
 
     @property
     def active(self) -> bool:
@@ -133,7 +129,7 @@ def start_load(profile: LoadProfile) -> LoadHandle:
     stop_event = mp.Event()
     procs, accounts = [], []
     if profile.loaded_workers > 0 and profile.target_load_pct > 0:
-        period_s = profile.period_ms / 1000.0
+        period_s = PERIOD_MS / 1000.0
         for _ in range(profile.loaded_workers):
             acc = mp.Value("d", 0.0)
             proc = mp.Process(
@@ -157,10 +153,10 @@ def measure_achieved_load(handle: LoadHandle, window_ms: float) -> list[float]:
     Reads the workers' own busy-time accounts at both ends of the window.
     The window must span at least 10 duty-cycle periods.
     """
-    if window_ms < 10 * handle.profile.period_ms:
+    if window_ms < 10 * PERIOD_MS:
         raise InvalidInputError(
-            f"window_ms must be >= 10 * period_ms "
-            f"({10 * handle.profile.period_ms}), got {window_ms}")
+            f"window_ms must span 10 periods of {PERIOD_MS} ms, got "
+            f"{window_ms}")
     if not handle.active:
         raise InvalidInputError("load handle is already stopped")
     if not handle._accounts:

@@ -79,20 +79,18 @@ the width bound keeps in range.  Conversely, let the slots q_i of Q lie in
 d q_i lies in [-2^(s-1), 2^(s-1)), so the d q_i are signed digits of
 d Q = X.  By uniqueness of signed digits they are the x_i.
 
-Evaluation trees.  _engine_mul cuts and evaluates the top level itself, the
-shorter operand once, and hands the 2k-1 operand pairs of every block on.
-Each pair then takes three steps: look up the leaf operands of both
-vectors' evaluation trees, multiply them pairwise (one big-int product per
-leaf), and interpolate and recombine level by level, bottom up, in groups
-of 2k-1.  _leaves maps a packed vector and its shape (n, k, cutoff, s) to
-the tuple of its leaf operands, the 2k-1 children of each node next to
-each other.  It is a pure function behind an LRU memo of _MEMO_ENTRIES
-trees, so a vector shared by several products is evaluated once: the key
-fixed across an NTRU batch, the shorter operand against every block of a
-longer one, and in a pool worker the same evaluations of a shared key on
-every call, since pair i always goes to worker i mod workers (Mera,
-Karmakar & Verbauwhede, TCHES 2020, on precomputed evaluations).  The
-memo changes no product and no count.
+Evaluation trees.  _engine_mul hands every (block, shorter operand) pair
+to a pair runner in one call.  Each pair then takes three steps: look up
+the leaf operands of both vectors' evaluation trees, multiply them pairwise
+(one big-int product per leaf), and interpolate and recombine level by
+level, bottom up, in groups of 2k-1.  _leaves maps a packed vector and its
+shape (n, k, cutoff, s) to the tuple of its leaf operands, the 2k-1
+children of each node next to each other.  It is a pure function behind an
+LRU memo of _MEMO_ENTRIES trees, so a whole operand shared by several
+products is evaluated once: the key fixed across an NTRU batch, the shorter
+operand against every block of a longer one, and each block of a long
+operand shared across a batch (Mera, Karmakar & Verbauwhede, TCHES 2020, on
+precomputed evaluations).  The memo changes no product and no count.
 
 Counts are structural and identical to the coefficient-list engine this
 replaced.  A leaf of length m counts what the schoolbook row loop counts:
@@ -112,7 +110,8 @@ lengths
 
 and equal lengths are one block.  Every product, sequential or parallel,
 goes through the one entry point _engine_mul; only the pair runner it is
-given decides where the top-level subproducts run.
+given decides where the pairs run (parallel_mul's pool runner splits
+their top level across worker processes).
 """
 
 from __future__ import annotations
@@ -573,8 +572,9 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
     return products
 
 
-#: Evaluation trees _leaves keeps: one shared operand needs 2k-1 of them
-#: (its top-level evaluations), the other operand of a product 2k-1 more.
+#: Evaluation trees _leaves keeps, one per operand or block: a long operand
+#: shared across a batch stays in the memo while its blocks + 1 <= 64.  One
+#: tree of N = 1024 at cutoff 16 takes 67-96 kB.
 _MEMO_ENTRIES = 64
 
 
@@ -593,25 +593,25 @@ def _leaves(x: int, n: int, k: int, cutoff: int, s: int) -> tuple[int, ...]:
     return tuple(vectors)
 
 
-def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, m: int,
+def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
                s: int) -> tuple[list[int], int, int]:
     """In-process pair runner: (products, fundamental_mults,
-    fundamental_adds) of packed length-m vector pairs in s-bit slots.
+    fundamental_adds) of packed length-n vector pairs in s-bit slots.
 
     Looks up the leaf operands of both vectors of every pair, multiplies
     them pairwise and interpolates up level by level.  parallel_mul's pool
-    runner runs it on each worker's share of the pairs.
+    runner runs it on each worker's share of the top-level subpairs.
     """
-    levels = _levels(m, k, cutoff, s)
+    levels = _levels(n, k, cutoff, s)
     xs, ys = zip(*pairs)
     if levels:
-        # every x before any y: the trees of an operand shared with the
-        # previous product are then the most recently used ones when the
-        # other operand's trees enter the memo and evict the oldest
-        xs = [leaf for x in xs for leaf in _leaves(x, m, k, cutoff, s)]
-        ys = [leaf for y in ys for leaf in _leaves(y, m, k, cutoff, s)]
+        # every x before any y: an operand shared with the previous product
+        # is then among the most recently used trees when the other
+        # operand's trees enter the memo and evict the oldest
+        xs = [leaf for x in xs for leaf in _leaves(x, n, k, cutoff, s)]
+        ys = [leaf for y in ys for leaf in _leaves(y, n, k, cutoff, s)]
     products = _interpolate_levels(list(map(mul, xs, ys)), levels)
-    mults, adds = _tree_counts(m, k, cutoff)
+    mults, adds = _tree_counts(n, k, cutoff)
     return products, len(pairs) * mults, len(pairs) * adds
 
 
@@ -619,37 +619,23 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
                 counter: OperationCounter, run_pairs=_run_pairs) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
-    Packs the shorter operand and each block of the longer one once,
-    splits and evaluates the top level of the shorter operand once and of
-    every block, hands all operand pairs to run_pairs(pairs, k, cutoff, m,
-    s) in one call, then interpolates each block, sums the block products
-    and unpacks once; the result does not depend on where run_pairs runs
-    them.
+    Packs the shorter operand and each block of the longer one once, hands
+    all (block, shorter operand) pairs to run_pairs(pairs, k, cutoff, ls, s)
+    in one call, then sums the block products and unpacks once; the result
+    does not depend on where run_pairs runs them.
     """
     a._check_ring(b)
     long, short = a.coeffs, b.coeffs
     if len(long) < len(short):
         long, short = short, long
     ls = len(short)
-    blocks = -(-len(long) // ls)
     s = _engine_bits(max(map(abs, long)), max(map(abs, short)), ls, k,
                      cutoff)
     y = _pack(short, s)
-    xs = [_pack(long[i:i + ls], s) for i in range(0, len(long), ls)]
-    top = _levels(ls, k, cutoff, s)[:1]
-    if top:
-        ys = _evaluate_level([y], top[0])
-        pairs = list(zip(_evaluate_level(xs, top[0]), ys * blocks))
-        m = -(-ls // k)
-    else:
-        pairs = [(x, y) for x in xs]
-        m = ls
-    products, mults, adds = run_pairs(pairs, k, cutoff, m, s)
+    pairs = [(_pack(long[i:i + ls], s), y) for i in range(0, len(long), ls)]
+    products, mults, adds = run_pairs(pairs, k, cutoff, ls, s)
     counter.add_mults(mults)
-    counter.add_adds(adds + (blocks - 1) * (ls - 1))
-    if top:
-        counter.add_adds(blocks * _node_adds(k, m))
-    products = _interpolate_levels(products, top)
+    counter.add_adds(adds + (len(pairs) - 1) * (ls - 1))
     out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
     return Polynomial(out, a.modulus)
 

@@ -1,15 +1,15 @@
 """Parallel execution of the independent pointwise subproducts.
 
 The 2k-1 subproducts of a Toom-Cook split are independent of each other, so
-parallel_mul runs the engine of multipliers with a pool runner: the parent
-performs the top-level split/evaluate of every block, hands the subproduct
-pairs (Kronecker-packed ints) to the runner, which sends pair i to worker
+parallel_mul runs the engine of multipliers with a pool runner.  The engine
+hands it every (block, shorter operand) pair as Kronecker-packed ints; the
+runner performs the top-level split/evaluate of every block in the parent,
+and of the shared shorter operand once, sends subpair i to worker
 i mod workers (statically, so timings are not perturbed by work stealing)
-and returns the products in pair order, and the parent then interpolates
-and recombines them.  Only the top level is dispatched; below it each
-worker recurses sequentially.  The result and the aggregated operation
-counts are therefore identical for every worker count and every scheduling
-of the pool.
+and interpolates the products it gets back.  Only the top level is
+dispatched; below it each worker recurses sequentially.  The result and
+the aggregated operation counts are therefore identical for every worker
+count and every scheduling of the pool.
 
 Worker pools are processes (not threads) so the coefficient arithmetic runs
 on separate cores; pools are created lazily per worker count and reused
@@ -28,7 +28,17 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 from .errors import ResourceError
-from .multipliers import SCHOOLBOOK, MethodPlan, _engine_mul, _run_pairs, multiply
+from .multipliers import (
+    SCHOOLBOOK,
+    MethodPlan,
+    _engine_mul,
+    _evaluate_level,
+    _interpolate_levels,
+    _levels,
+    _node_adds,
+    _run_pairs,
+    multiply,
+)
 from .poly import OperationCounter, Polynomial
 
 
@@ -68,19 +78,30 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _run_on_pool(workers: int, pairs, k: int, cutoff: int, m: int, s: int):
+def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):
     """The engine's pair runner on the workers-process pool.
 
-    Worker w multiplies pairs w, w+workers, w+2*workers, ... in one batch;
-    the pairs are packed ints of m slots of s bits.  Returns (products in
+    The pairs are packed ints of n slots of s bits, and all of them share
+    their second vector.  Above the cutoff the parent cuts and evaluates the
+    top level of every first vector, and of the shared second one once;
+    worker w multiplies subpairs w, w+workers, w+2*workers, ... in one
+    batch, and the parent interpolates the top level.  Returns (products in
     pair order, fundamental_mults, fundamental_adds).
     """
+    top = _levels(n, k, cutoff, s)[:1]
+    if top:
+        ys = _evaluate_level([pairs[0][1]], top[0])
+        xs = _evaluate_level([x for x, _ in pairs], top[0])
+        subpairs = list(zip(xs, ys * len(pairs)))
+        m = -(-n // k)
+    else:
+        subpairs, m = pairs, n
     for attempt in (1, 2):
         pool = _get_pool(workers)
         try:
-            futures = [pool.submit(_run_pairs, pairs[w::workers], k, cutoff,
-                                   m, s)
-                       for w in range(min(workers, len(pairs)))]
+            futures = [pool.submit(_run_pairs, subpairs[w::workers], k,
+                                   cutoff, m, s)
+                       for w in range(min(workers, len(subpairs)))]
             results = [future.result() for future in futures]
             break
         except BrokenProcessPool as exc:
@@ -90,13 +111,15 @@ def _run_on_pool(workers: int, pairs, k: int, cutoff: int, m: int, s: int):
                     f"the {workers}-worker pool broke again after a "
                     f"rebuild: {exc}") from exc
 
-    products: list = [None] * len(pairs)
+    products: list = [None] * len(subpairs)
     mults = adds = 0
     for w, (vecs, batch_mults, batch_adds) in enumerate(results):
         products[w::workers] = vecs
         mults += batch_mults
         adds += batch_adds
-    return products, mults, adds
+    if top:
+        adds += len(pairs) * _node_adds(k, m)
+    return _interpolate_levels(products, top), mults, adds
 
 
 def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan

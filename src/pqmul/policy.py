@@ -16,6 +16,7 @@ save byte-identically.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bench import BenchmarkRecord
@@ -276,8 +277,8 @@ def select_method(table: RuleTable, state: SystemState,
 class TimeModel:
     """Piecewise-linear mean-time curves per (plan, degree), from records."""
 
-    def __init__(self, curves: dict[tuple, list[tuple[int, float]]]):
-        self._curves = curves
+    def __init__(self, curves: dict[tuple, tuple[tuple, tuple]]):
+        self._curves = curves   # key -> (sorted loads, their mean times)
 
     @classmethod
     def from_records(cls, records: list[BenchmarkRecord]) -> "TimeModel":
@@ -285,11 +286,8 @@ class TimeModel:
         for r in records:
             key = (r.method, r.k, r.workers, r.base_cutoff, r.degree)
             groups.setdefault(key, []).append(r)
-        curves = {}
-        for key, rs in groups.items():
-            curve = _mean_curve(rs)
-            curves[key] = sorted(curve.items())
-        return cls(curves)
+        return cls({key: tuple(zip(*sorted(_mean_curve(rs).items())))
+                    for key, rs in groups.items()})
 
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
         """Estimated mean duration (ns); exact at sampled loads.
@@ -301,17 +299,14 @@ class TimeModel:
         if curve is None:
             raise CoverageError(
                 f"no calibration data for plan {plan.label} at degree {degree}")
-        if load_pct <= curve[0][0]:
-            return curve[0][1]
-        if load_pct >= curve[-1][0]:
-            return curve[-1][1]
-        for (l0, t0), (l1, t1) in zip(curve, curve[1:]):
-            if l0 <= load_pct <= l1:
-                if load_pct == l0:
-                    return t0
-                frac = (load_pct - l0) / (l1 - l0)
-                return t0 + frac * (t1 - t0)
-        raise CoverageError(f"load {load_pct} not bracketed by {curve}")
+        loads, times = curve
+        i = bisect_right(loads, load_pct)   # loads[i-1] <= load_pct < loads[i]
+        if i == 0:
+            return times[0]
+        if i == len(loads):
+            return times[-1]
+        l0, t0 = loads[i - 1], times[i - 1]
+        return t0 + (load_pct - l0) / (loads[i] - l0) * (times[i] - t0)
 
 
 # ---------------------------------------------------------------------------

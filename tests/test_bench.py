@@ -161,7 +161,15 @@ class TestRoundTrips:
         "[[0",
         "[[0]]",
         json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())), k=None)]),
-    ], ids=["invalid", "list_row", "null_field"])
+        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
+                         method=None)]),
+        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())), k=2.7)]),
+        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
+                         workers=True)]),
+        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
+                         degree="512")]),
+    ], ids=["invalid", "list_row", "null_field", "null_method", "float_k",
+            "bool_workers", "string_degree"])
     def test_malformed_json_names_path(self, text, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -8,6 +8,7 @@ for operation counts.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from pqmul import (
     evaluate_parts,
     interpolate,
     multiply,
+    parallel_mul,
     predicted_mult_count,
     recursion_depth,
     schoolbook_mul,
@@ -321,6 +323,41 @@ class TestRecursionDepth:
         assert recursion_depth(MethodPlan.karatsuba(base_cutoff=32), 16) == 0
 
 
+#: (fundamental_mults, fundamental_adds) at cutoff 16, as BENCH_6.json and
+#: BENCH_7.json report them for N = 256/512/768/1024, and for 70 x 1024.
+PINNED_COUNTS = {
+    "karatsuba": {256: (20736, 26385), 512: (62208, 81199),
+                  768: (104976, 150593), 1024: (186624, 247689),
+                  (70, 1024): (32805, 46506)},
+    "toom3": {256: (12500, 25114), 512: (30625, 78264),
+              768: (62500, 133749), 1024: (105625, 199556),
+              (70, 1024): (24000, 48891)},
+    "toom4": {256: (12544, 22785), 512: (21952, 65917),
+              768: (49392, 115909), 1024: (87808, 176877),
+              (70, 1024): (18375, 63666)},
+}
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("plan", [MethodPlan.karatsuba(base_cutoff=16),
+                                      MethodPlan.toom(3, base_cutoff=16),
+                                      MethodPlan.toom(4, base_cutoff=16)],
+                             ids=["karatsuba", "toom3", "toom4"])
+    @pytest.mark.parametrize("shape", [256, 512, 768, 1024, (70, 1024)],
+                             ids=str)
+    def test_counts_sequential_and_on_two_workers(self, plan, shape):
+        la, lb = shape if isinstance(shape, tuple) else (shape, shape)
+        a = Polynomial.random(la, 4096, seed=la, modulus=4096)
+        b = Polynomial.random(lb, 4096, seed=lb + 1, modulus=4096)
+        counter = OperationCounter()
+        multiply(a, b, plan, counter)
+        _, par_counter = parallel_mul(a, b, replace(plan, workers=2))
+        name = "karatsuba" if plan.k == 2 else f"toom{plan.k}"
+        expected = PINNED_COUNTS[name][shape]
+        for c in (counter, par_counter):
+            assert (c.fundamental_mults, c.fundamental_adds) == expected
+
+
 # ---------------------------------------------------------------------------
 # packed vectors and unbalanced operands (property tests)
 # ---------------------------------------------------------------------------
@@ -601,6 +638,18 @@ class TestLeafMemo:
         assert _leaves.cache_info().hits > 0
         assert cold.coeffs == warm.coeffs == schoolbook_mul(a, b).coeffs
         assert cold_counter == warm_counter
+
+    def test_memo_holds_an_unbalanced_batch(self):
+        """A 1024-coefficient operand shared by ten products with fresh
+        70-coefficient ones: its 15 block trees are evaluated once, then
+        each product misses only its fresh operand's tree."""
+        plan = MethodPlan.toom(3, base_cutoff=16)
+        shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
+        _leaves.cache_clear()
+        for seed in range(10):
+            short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
+            multiply(shared, short, plan)
+        assert _leaves.cache_info().misses == 15 + 10
 
     def test_memo_size_is_bounded(self):
         _leaves.cache_clear()

@@ -280,6 +280,19 @@ class TestTimeModel:
         assert model.predict(KARATSUBA, 512, 0) == 10e6
         assert model.predict(KARATSUBA, 512, 50) == 10e6 + 0.02e6 * 50
 
+    def test_exact_at_interior_sample_with_inexact_means(self):
+        """Means 13/3, 37/3 and 20 ns: interpolating up to load 10 from
+        load 0 gives 12.333333333333332, not the sample's own 37/3."""
+        times = {0: (4, 4, 5), 10: (12, 12, 13), 20: (20, 20, 20)}
+        model = TimeModel.from_records([
+            BenchmarkRecord(method=KARATSUBA.method, k=KARATSUBA.k,
+                            workers=1, base_cutoff=KARATSUBA.base_cutoff,
+                            degree=512, load_pct=load, run_index=i,
+                            elapsed_ns=ns, mult_count=1000)
+            for load, run in times.items() for i, ns in enumerate(run)])
+        assert [model.predict(KARATSUBA, 512, load)
+                for load in (0, 10, 20)] == [13 / 3, 37 / 3, 20.0]
+
     def test_linear_midpoint(self):
         records = records_from_curves({
             KARATSUBA: {0: 10e6, 10: 20e6},
