@@ -93,8 +93,9 @@ operand shared across a batch (Mera, Karmakar & Verbauwhede, TCHES 2020, on
 precomputed evaluations).  The memo changes no product and no count.
 
 Counts are structural and identical to the coefficient-list engine this
-replaced.  A leaf of length m counts what the schoolbook row loop counts:
-m*m mults and m*m - (2m-1) adds.  A node with part length m adds 2m, 10m or
+replaced: _engine_mul derives them from the product's shape, never from
+the pair runner.  A leaf of length m counts what the schoolbook row loop
+counts: m*m mults and m*m - (2m-1) adds.  A node with part length m adds 2m, 10m or
 22m for evaluating both operands (k = 2, 3, 4), 2, 9 or 20 times (2m-1) for
 interpolation, and 2(k-1)(m-1) for recomposition.
 
@@ -199,17 +200,6 @@ class MethodPlan:
         return {"method": self.method, "k": self.k, "workers": self.workers,
                 "base_cutoff": self.base_cutoff}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MethodPlan":
-        try:
-            fields = (d["method"], int(d["k"]), int(d["workers"]),
-                      int(d["base_cutoff"]))
-        except KeyError as exc:
-            raise InvalidPlanError(f"plan descriptor missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidPlanError(f"bad plan descriptor {d!r}: {exc}") from exc
-        return cls(*fields)
-
 
 # ---------------------------------------------------------------------------
 # packed vectors: n signed coefficients c_i as one int sum(c_i * 2^(s*i))
@@ -281,16 +271,15 @@ def _unpack(x: int, n: int, s: int) -> list[int]:
         for j in range(w, 8):
             wide[j::8] = sign
         raw = wide
-    else:
+    elif w > 8:
         offset, mask = _range_check(n, s, 63)
         if (x + offset) & mask:
             return [int.from_bytes(raw[i:i + w], "little", signed=True)
                     for i in range(0, n * w, w)]
-        if w > 8:
-            low = bytearray(n * 8)
-            for j in range(8):
-                low[j::8] = raw[j::w]
-            raw = low
+        low = bytearray(n * 8)
+        for j in range(8):
+            low[j::8] = raw[j::w]
+        raw = low
     items = array("q", raw)
     if _BIG_ENDIAN:
         items.byteswap()
@@ -448,8 +437,7 @@ def _max_abs(vectors) -> int:
     return max((max(map(abs, v), default=0) for v in vectors), default=0)
 
 
-def evaluate_parts(parts: list[list[int]], k: int,
-                   counter: OperationCounter | None = None) -> list[list[int]]:
+def evaluate_parts(parts: list[list[int]], k: int) -> list[list[int]]:
     """Evaluate k part vectors at the 2k-1 points of EVALUATION_POINTS[k].
 
     Output order matches the point order; each output is a small-integer
@@ -461,14 +449,12 @@ def evaluate_parts(parts: list[list[int]], k: int,
     steps = _steps(k)
     m = max(map(len, parts))
     s = _slot_bits(steps.growth * _max_abs(parts), steps.headroom)
-    if counter is not None:
-        counter.add_adds(steps.evaluate_adds * m)
     return [_unpack(e, m, s)
             for e in steps.evaluate(*[_pack(p, s) for p in parts])]
 
 
-def interpolate(pointwise_products: list[list[int]], k: int,
-                counter: OperationCounter | None = None) -> list[list[int]]:
+def interpolate(pointwise_products: list[list[int]],
+                k: int) -> list[list[int]]:
     """Recover the 2k-1 result-coefficient slices from pointwise products.
 
     Solves the evaluation system of EVALUATION_POINTS[k] exactly over the
@@ -483,8 +469,6 @@ def interpolate(pointwise_products: list[list[int]], k: int,
     steps = _steps(k)
     n = max(map(len, pointwise_products))
     s = _slot_bits(_max_abs(pointwise_products), steps.headroom)
-    if counter is not None:
-        counter.add_adds(steps.interpolate_adds * n)
     slices = steps.interpolate([_pack(p, s) for p in pointwise_products],
                                _range_check(n, s, s - steps.guard))
     return [_unpack(v, n, s) for v in slices]
@@ -531,24 +515,21 @@ def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
     return _slot_bits(bound * n, steps.headroom)
 
 
-def _node_adds(k: int, m: int) -> int:
-    """Adds counted by one node with part length m outside its subproducts:
-    evaluating both operands, interpolating, and recomposing 2k-1 slices of
-    2m-1 coefficients at stride m."""
-    steps = _STEPS[k]
-    return (2 * steps.evaluate_adds * m + steps.interpolate_adds * (2 * m - 1)
-            + 2 * (k - 1) * (m - 1))
-
-
 @lru_cache(maxsize=1024)
 def _tree_counts(n: int, k: int, cutoff: int) -> tuple[int, int]:
     """(fundamental_mults, fundamental_adds) of one engine product of two
-    length-n vectors; a leaf counts what the schoolbook row loop counts."""
+    length-n vectors.  A leaf counts what the schoolbook row loop counts.  A
+    node with part length m counts its 2k-1 subproducts plus the adds of
+    evaluating both operands, interpolating, and recomposing 2k-1 slices of
+    2m-1 coefficients at stride m."""
     if n <= cutoff:
         return n * n, n * n - (2 * n - 1)
     m = -(-n // k)
+    steps = _STEPS[k]
     mults, adds = _tree_counts(m, k, cutoff)
-    return (2 * k - 1) * mults, (2 * k - 1) * adds + _node_adds(k, m)
+    return (2 * k - 1) * mults, (
+        (2 * k - 1) * adds + 2 * steps.evaluate_adds * m
+        + steps.interpolate_adds * (2 * m - 1) + 2 * (k - 1) * (m - 1))
 
 
 def _evaluate_level(vectors: list[int], level: _Level) -> list[int]:
@@ -594,9 +575,9 @@ def _leaves(x: int, n: int, k: int, cutoff: int, s: int) -> tuple[int, ...]:
 
 
 def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
-               s: int) -> tuple[list[int], int, int]:
-    """In-process pair runner: (products, fundamental_mults,
-    fundamental_adds) of packed length-n vector pairs in s-bit slots.
+               s: int) -> list[int]:
+    """In-process pair runner: the products of packed length-n vector pairs
+    in s-bit slots.
 
     Looks up the leaf operands of both vectors of every pair, multiplies
     them pairwise and interpolates up level by level.  parallel_mul's pool
@@ -610,9 +591,7 @@ def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
         # operand's trees enter the memo and evict the oldest
         xs = [leaf for x in xs for leaf in _leaves(x, n, k, cutoff, s)]
         ys = [leaf for y in ys for leaf in _leaves(y, n, k, cutoff, s)]
-    products = _interpolate_levels(list(map(mul, xs, ys)), levels)
-    mults, adds = _tree_counts(n, k, cutoff)
-    return products, len(pairs) * mults, len(pairs) * adds
+    return _interpolate_levels(list(map(mul, xs, ys)), levels)
 
 
 def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
@@ -622,7 +601,8 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     Packs the shorter operand and each block of the longer one once, hands
     all (block, shorter operand) pairs to run_pairs(pairs, k, cutoff, ls, s)
     in one call, then sums the block products and unpacks once; the result
-    does not depend on where run_pairs runs them.
+    does not depend on where run_pairs runs them.  The counts come from the
+    shape alone: _tree_counts per block plus the adds that join the blocks.
     """
     a._check_ring(b)
     long, short = a.coeffs, b.coeffs
@@ -633,9 +613,10 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
                      cutoff)
     y = _pack(short, s)
     pairs = [(_pack(long[i:i + ls], s), y) for i in range(0, len(long), ls)]
-    products, mults, adds = run_pairs(pairs, k, cutoff, ls, s)
-    counter.add_mults(mults)
-    counter.add_adds(adds + (len(pairs) - 1) * (ls - 1))
+    products = run_pairs(pairs, k, cutoff, ls, s)
+    mults, adds = _tree_counts(ls, k, cutoff)
+    counter.add_mults(len(pairs) * mults)
+    counter.add_adds(len(pairs) * adds + (len(pairs) - 1) * (ls - 1))
     out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
     return Polynomial(out, a.modulus)
 

@@ -7,9 +7,10 @@ runner performs the top-level split/evaluate of every block in the parent,
 and of the shared shorter operand once, sends subpair i to worker
 i mod workers (statically, so timings are not perturbed by work stealing)
 and interpolates the products it gets back.  Only the top level is
-dispatched; below it each worker recurses sequentially.  The result and
-the aggregated operation counts are therefore identical for every worker
-count and every scheduling of the pool.
+dispatched; below it each worker recurses sequentially.  The result is
+therefore identical for every worker count and every scheduling of the
+pool, and so are the operation counts, which the engine derives from the
+product's shape.
 
 Worker pools are processes (not threads) so the coefficient arithmetic runs
 on separate cores; pools are created lazily per worker count and reused
@@ -35,7 +36,6 @@ from .multipliers import (
     _evaluate_level,
     _interpolate_levels,
     _levels,
-    _node_adds,
     _run_pairs,
     multiply,
 )
@@ -85,8 +85,8 @@ def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):
     their second vector.  Above the cutoff the parent cuts and evaluates the
     top level of every first vector, and of the shared second one once;
     worker w multiplies subpairs w, w+workers, w+2*workers, ... in one
-    batch, and the parent interpolates the top level.  Returns (products in
-    pair order, fundamental_mults, fundamental_adds).
+    batch, and the parent interpolates the top level.  Returns the products
+    in pair order.
     """
     top = _levels(n, k, cutoff, s)[:1]
     if top:
@@ -112,14 +112,9 @@ def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):
                     f"rebuild: {exc}") from exc
 
     products: list = [None] * len(subpairs)
-    mults = adds = 0
-    for w, (vecs, batch_mults, batch_adds) in enumerate(results):
+    for w, vecs in enumerate(results):
         products[w::workers] = vecs
-        mults += batch_mults
-        adds += batch_adds
-    if top:
-        adds += len(pairs) * _node_adds(k, m)
-    return _interpolate_levels(products, top), mults, adds
+    return _interpolate_levels(products, top)
 
 
 def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan

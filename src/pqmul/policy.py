@@ -16,6 +16,7 @@ save byte-identically.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -78,7 +79,6 @@ class RuleTable:
 
     entries: tuple[RuleEntry, ...]
     default_plan: MethodPlan
-    version: int = RULE_FILE_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -331,7 +331,7 @@ def _entry_to_dict(e: RuleEntry) -> dict:
 
 def table_to_dict(table: RuleTable) -> dict:
     return {
-        "version": table.version,
+        "version": RULE_FILE_VERSION,
         "default_plan": table.default_plan.as_dict(),
         "entries": [_entry_to_dict(e) for e in table.entries],
     }
@@ -343,29 +343,33 @@ def save_rules(table: RuleTable, path) -> None:
         fh.write("\n")
 
 
-def _need(obj: dict, key: str, kind, where: str):
+def _need(obj: dict, key: str, kind, where: str, error=RuleTableError):
+    """obj[key] if it has JSON type kind (float: any finite number), else
+    raise error naming the field path.  A bool is not a number."""
     if not isinstance(obj, dict) or key not in obj:
-        raise RuleTableError(f"{where}.{key}: missing")
+        raise error(f"{where}.{key}: missing")
     val = obj[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise RuleTableError(f"{where}.{key}: expected a number, got {val!r}")
+        # json reads NaN and Infinity; "not <=" also rejects NaN
+        if (not isinstance(val, (int, float)) or isinstance(val, bool)
+                or not abs(val) <= sys.float_info.max):
+            raise error(
+                f"{where}.{key}: expected a finite number, got {val!r}")
         return float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
-        raise RuleTableError(
-            f"{where}.{key}: expected {kind.__name__}, got {val!r}")
+        raise error(f"{where}.{key}: expected {kind.__name__}, got {val!r}")
     return val
 
 
-def _plan_from_dict(d: dict, where: str) -> MethodPlan:
+def _plan_from_dict(d: dict, where: str, error=RuleTableError) -> MethodPlan:
     try:
         return MethodPlan(
-            method=_need(d, "method", str, where),
-            k=_need(d, "k", int, where),
-            workers=_need(d, "workers", int, where),
-            base_cutoff=_need(d, "base_cutoff", int, where))
+            method=_need(d, "method", str, where, error),
+            k=_need(d, "k", int, where, error),
+            workers=_need(d, "workers", int, where, error),
+            base_cutoff=_need(d, "base_cutoff", int, where, error))
     except InvalidPlanError as exc:
-        raise RuleTableError(f"{where}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
 
 
 def table_from_dict(data: dict, where: str = "rules") -> RuleTable:
@@ -401,8 +405,7 @@ def table_from_dict(data: dict, where: str = "rules") -> RuleTable:
             sequential_plan=_plan_from_dict(
                 _need(plans, "sequential", dict, f"{ew}.plans"),
                 f"{ew}.plans.sequential")))
-    return RuleTable(entries=tuple(entries), default_plan=default_plan,
-                     version=version)
+    return RuleTable(entries=tuple(entries), default_plan=default_plan)
 
 
 def load_rules(path) -> RuleTable:

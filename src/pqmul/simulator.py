@@ -18,10 +18,17 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import CoverageError, InvalidInputError, InvalidPlanError, ScenarioError
+from .errors import CoverageError, InvalidInputError, ScenarioError
 from .multipliers import MethodPlan
-from .policy import RuleTable, SystemState, select_method
+from .policy import (
+    RuleTable,
+    SystemState,
+    _need,
+    _plan_from_dict,
+    select_method,
+)
 from .poly import derive_seed
 
 POLICY_MODES = ("rule_table", "fixed_plan")
@@ -257,44 +264,49 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
-    def need(obj, key, where_):
-        if not isinstance(obj, dict) or key not in obj:
-            raise ScenarioError(f"{where_}.{key}: missing")
-        return obj[key]
+#: Values of the optional scenario fields when the file omits them.
+_SCENARIO_DEFAULTS = {"mults_per_handover": 10, "seed": 0,
+                      "policy_mode": "rule_table", "fixed_plan": None}
 
-    raw_nodes = need(data, "mec_nodes", where)
-    if not isinstance(raw_nodes, list):
-        raise ScenarioError(f"{where}.mec_nodes: expected a list")
-    fixed_raw = data.get("fixed_plan")
-    try:
-        nodes = []
-        for i, raw in enumerate(raw_nodes):
-            nodes.append(MecNode(
-                cores=need(raw, "cores", f"{where}.mec_nodes[{i}]"),
-                load_trace=tuple(
-                    tuple(bp) for bp in
-                    need(raw, "background_load_trace",
-                         f"{where}.mec_nodes[{i}]"))))
-        fixed_plan = None
-        if fixed_raw is not None:
-            fixed_plan = MethodPlan.from_dict(fixed_raw)
-        return Scenario(
-            mec_nodes=tuple(nodes),
-            vehicles=int(need(data, "vehicles", where)),
-            handover_interval_ms=float(need(data, "handover_interval_ms", where)),
-            mults_per_handover=int(data.get("mults_per_handover", 10)),
-            degree=int(need(data, "degree", where)),
-            duration_ms=float(need(data, "duration_ms", where)),
-            seed=int(data.get("seed", 0)),
-            policy_mode=str(data.get("policy_mode", "rule_table")),
-            fixed_plan=fixed_plan)
-    except InvalidPlanError as exc:
-        raise ScenarioError(f"{where}.fixed_plan: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{where}: {exc}") from exc
+_need_field = partial(_need, error=ScenarioError)
+
+
+def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
+    """Read a scenario with the rule file's strict field reader: every
+    field must have its JSON type, and errors name the field path."""
+    if isinstance(data, dict):
+        data = {**_SCENARIO_DEFAULTS, **data}
+    nodes = []
+    for i, raw in enumerate(_need_field(data, "mec_nodes", list, where)):
+        nw = f"{where}.mec_nodes[{i}]"
+        trace = []
+        for j, bp in enumerate(_need_field(raw, "background_load_trace",
+                                           list, nw)):
+            bw = f"{nw}.background_load_trace[{j}]"
+            if not isinstance(bp, list) or len(bp) != 2:
+                raise ScenarioError(
+                    f"{bw}: expected [time_ms, load_pct], got {bp!r}")
+            point = dict(zip(("time_ms", "load_pct"), bp))
+            trace.append((_need_field(point, "time_ms", float, bw),
+                          _need_field(point, "load_pct", float, bw)))
+        nodes.append(MecNode(cores=_need_field(raw, "cores", int, nw),
+                             load_trace=tuple(trace)))
+    fixed_plan = None
+    if data["fixed_plan"] is not None:
+        fixed_plan = _plan_from_dict(
+            _need_field(data, "fixed_plan", dict, where),
+            f"{where}.fixed_plan", ScenarioError)
+    return Scenario(
+        mec_nodes=tuple(nodes),
+        vehicles=_need_field(data, "vehicles", int, where),
+        handover_interval_ms=_need_field(data, "handover_interval_ms", float,
+                                         where),
+        mults_per_handover=_need_field(data, "mults_per_handover", int, where),
+        degree=_need_field(data, "degree", int, where),
+        duration_ms=_need_field(data, "duration_ms", float, where),
+        seed=_need_field(data, "seed", int, where),
+        policy_mode=_need_field(data, "policy_mode", str, where),
+        fixed_plan=fixed_plan)
 
 
 def load_scenario(path) -> Scenario:

@@ -79,10 +79,6 @@ class TestMethodPlan:
         assert MethodPlan.toom(3, workers=5).label == "toom3-w5"
         assert MethodPlan.karatsuba().label == "karatsuba-w1"
 
-    def test_dict_round_trip(self):
-        plan = MethodPlan.toom(4, workers=3, base_cutoff=8)
-        assert MethodPlan.from_dict(plan.as_dict()) == plan
-
 
 class TestSplit:
     def test_even_split(self):

@@ -1,6 +1,7 @@
 """Handover simulator: determinism, conservation, policy behavior, I/O."""
 
 import json
+import math
 import random
 
 import pytest
@@ -259,14 +260,30 @@ class TestScenarioFiles:
         ("fixed_plan", {"method": "toom", "k": "x", "workers": 1,
                         "base_cutoff": 16}),
         ("fixed_plan", [1]),
+        ("cores", 2.5),
+        ("cores", True),
+        ("background_load_trace", [[False, True]]),
+        ("background_load_trace", [[0, 5, 1]]),
+        ("fixed_plan", {"method": "toom", "k": 3.9, "workers": 1,
+                        "base_cutoff": 16}),
+        ("fixed_plan", {"method": "toom", "k": 3, "workers": True,
+                        "base_cutoff": 16}),
+        ("fixed_plan", {"method": "toom", "k": 3, "workers": 1,
+                        "base_cutoff": "16"}),
+        ("vehicles", 2.5),
+        ("degree", True),
+        ("seed", 7.9),
+        ("duration_ms", math.inf),
+        ("handover_interval_ms", math.nan),
     ])
     def test_malformed_value_exits_2(self, field, value, tmp_path, capsys):
         from pqmul.cli import main
         data = scenario_to_dict(make_scenario())
-        (data if field == "fixed_plan" else data["mec_nodes"][0])[field] = value
+        node_field = field in ("cores", "background_load_trace")
+        (data["mec_nodes"][0] if node_field else data)[field] = value
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=field):
             load_scenario(path)
         assert main(["simulate", "--scenario", str(path), "--live"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
