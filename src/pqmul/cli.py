@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficients '3,4' (lowest first) or @file")
     p.add_argument("--b", required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(p)
+    p.add_argument("--modulus", type=int, default=None,
+                   help="coefficient modulus q; omit for signed integers")
     p.set_defaults(func=cmd_multiply)
 
     p = subs.add_parser("count-check",

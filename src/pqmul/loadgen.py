@@ -55,8 +55,9 @@ class LoadProfile:
                 f"target_load_pct must be in [0, 100], got {self.target_load_pct}")
 
 
-def _duty_cycle_worker(stop_event, busy_acc, target_pct, period_s):
+def _duty_cycle_worker(stop_event, busy_acc, target_pct):
     """Busy-spin target_pct of every period, sleep the rest, until stopped."""
+    period_s = PERIOD_MS / 1000.0
     busy_target = period_s * target_pct / 100.0
     x = 48271
     while not stop_event.is_set():
@@ -78,9 +79,9 @@ def _duty_cycle_worker(stop_event, busy_acc, target_pct, period_s):
             stop_event.wait(remainder)
 
 
-def _terminate(stop_event, procs, period_s):
+def _terminate(stop_event, procs):
     stop_event.set()
-    deadline = time.monotonic() + 2 * period_s + 1.0
+    deadline = time.monotonic() + 2 * PERIOD_MS / 1000.0 + 1.0
     for p in procs:
         p.join(timeout=max(0.0, deadline - time.monotonic()))
     for p in procs:
@@ -101,8 +102,7 @@ class LoadHandle:
         self._stop_event = stop_event
         self._procs = procs
         self._accounts = accounts
-        self._finalizer = weakref.finalize(
-            self, _terminate, stop_event, procs, PERIOD_MS / 1000.0)
+        self._finalizer = weakref.finalize(self, _terminate, stop_event, procs)
 
     @property
     def active(self) -> bool:
@@ -110,9 +110,6 @@ class LoadHandle:
 
     def stop(self) -> None:
         self._finalizer()  # no-op once it has run
-
-    def _busy_totals(self) -> list[float]:
-        return [acc.value for acc in self._accounts]
 
 
 def start_load(profile: LoadProfile) -> LoadHandle:
@@ -129,12 +126,11 @@ def start_load(profile: LoadProfile) -> LoadHandle:
     stop_event = mp.Event()
     procs, accounts = [], []
     if profile.loaded_workers > 0 and profile.target_load_pct > 0:
-        period_s = PERIOD_MS / 1000.0
         for _ in range(profile.loaded_workers):
             acc = mp.Value("d", 0.0)
             proc = mp.Process(
                 target=_duty_cycle_worker,
-                args=(stop_event, acc, profile.target_load_pct, period_s),
+                args=(stop_event, acc, profile.target_load_pct),
                 daemon=True)
             proc.start()
             procs.append(proc)
@@ -161,9 +157,9 @@ def measure_achieved_load(handle: LoadHandle, window_ms: float) -> list[float]:
         raise InvalidInputError("load handle is already stopped")
     if not handle._accounts:
         return [0.0] * handle.profile.loaded_workers
-    before = handle._busy_totals()
+    before = [acc.value for acc in handle._accounts]
     t0 = time.perf_counter()
     time.sleep(window_ms / 1000.0)
     elapsed = time.perf_counter() - t0
-    after = handle._busy_totals()
-    return [100.0 * (a - b) / elapsed for a, b in zip(after, before)]
+    return [100.0 * (acc.value - b) / elapsed
+            for acc, b in zip(handle._accounts, before)]

@@ -372,17 +372,17 @@ def _plan_from_dict(d: dict, where: str, error=RuleTableError) -> MethodPlan:
         raise error(f"{where}: {exc}") from exc
 
 
-def table_from_dict(data: dict, where: str = "rules") -> RuleTable:
-    version = _need(data, "version", int, where)
+def table_from_dict(data: dict) -> RuleTable:
+    version = _need(data, "version", int, "rules")
     if version != RULE_FILE_VERSION:
         raise RuleTableError(
-            f"{where}.version: unsupported version {version}")
+            f"rules.version: unsupported version {version}")
     default_plan = _plan_from_dict(
-        _need(data, "default_plan", dict, where), f"{where}.default_plan")
+        _need(data, "default_plan", dict, "rules"), "rules.default_plan")
     entries = []
-    raw_entries = _need(data, "entries", list, where)
+    raw_entries = _need(data, "entries", list, "rules")
     for i, raw in enumerate(raw_entries):
-        ew = f"{where}.entries[{i}]"
+        ew = f"rules.entries[{i}]"
         band = _need(raw, "degree_band", dict, ew)
         thresholds = _need(raw, "thresholds", dict, ew)
         plans = _need(raw, "plans", dict, ew)
@@ -416,6 +416,6 @@ def load_rules(path) -> RuleTable:
         except json.JSONDecodeError as exc:
             raise RuleTableError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        return table_from_dict(data, where="rules")
-    except (RuleTableError, InvalidPlanError, InvalidInputError) as exc:
+        return table_from_dict(data)
+    except RuleTableError as exc:
         raise RuleTableError(f"{path}: {exc}") from exc

@@ -145,7 +145,6 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
         raise InvalidInputError("rule_table mode needs a rule table")
     n_mecs = len(scenario.mec_nodes)
     per_vehicle = []
-    mec_handovers = [0] * n_mecs
     mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
     all_latencies: list[float] = []
 
@@ -177,7 +176,6 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
                     f"{exc}") from exc
             latency_ms = scenario.mults_per_handover * per_mult_ns / 1e6
             latencies.append(latency_ms)
-            mec_handovers[target] += 1
             mec_plans[target][plan.label] = \
                 mec_plans[target].get(plan.label, 0) + 1
             current = target
@@ -196,9 +194,9 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
         if all_latencies else 0.0,
         p95_latency_ms=_p95(all_sorted),
         per_vehicle=tuple(per_vehicle),
-        per_mec=tuple(MecStats(mec=i, handovers=mec_handovers[i],
-                               plan_counts=dict(sorted(mec_plans[i].items())))
-                      for i in range(n_mecs)),
+        per_mec=tuple(MecStats(mec=i, handovers=sum(plans.values()),
+                               plan_counts=dict(sorted(plans.items())))
+                      for i, plans in enumerate(mec_plans)),
         policy_mode=scenario.policy_mode)
 
 
@@ -271,14 +269,14 @@ _SCENARIO_DEFAULTS = {"mults_per_handover": 10, "seed": 0,
 _need_field = partial(_need, error=ScenarioError)
 
 
-def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     """Read a scenario with the rule file's strict field reader: every
     field must have its JSON type, and errors name the field path."""
     if isinstance(data, dict):
         data = {**_SCENARIO_DEFAULTS, **data}
     nodes = []
-    for i, raw in enumerate(_need_field(data, "mec_nodes", list, where)):
-        nw = f"{where}.mec_nodes[{i}]"
+    for i, raw in enumerate(_need_field(data, "mec_nodes", list, "scenario")):
+        nw = f"scenario.mec_nodes[{i}]"
         trace = []
         for j, bp in enumerate(_need_field(raw, "background_load_trace",
                                            list, nw)):
@@ -294,18 +292,19 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     fixed_plan = None
     if data["fixed_plan"] is not None:
         fixed_plan = _plan_from_dict(
-            _need_field(data, "fixed_plan", dict, where),
-            f"{where}.fixed_plan", ScenarioError)
+            _need_field(data, "fixed_plan", dict, "scenario"),
+            "scenario.fixed_plan", ScenarioError)
     return Scenario(
         mec_nodes=tuple(nodes),
-        vehicles=_need_field(data, "vehicles", int, where),
+        vehicles=_need_field(data, "vehicles", int, "scenario"),
         handover_interval_ms=_need_field(data, "handover_interval_ms", float,
-                                         where),
-        mults_per_handover=_need_field(data, "mults_per_handover", int, where),
-        degree=_need_field(data, "degree", int, where),
-        duration_ms=_need_field(data, "duration_ms", float, where),
-        seed=_need_field(data, "seed", int, where),
-        policy_mode=_need_field(data, "policy_mode", str, where),
+                                         "scenario"),
+        mults_per_handover=_need_field(data, "mults_per_handover", int,
+                                       "scenario"),
+        degree=_need_field(data, "degree", int, "scenario"),
+        duration_ms=_need_field(data, "duration_ms", float, "scenario"),
+        seed=_need_field(data, "seed", int, "scenario"),
+        policy_mode=_need_field(data, "policy_mode", str, "scenario"),
         fixed_plan=fixed_plan)
 
 

@@ -76,9 +76,12 @@ class TestMultiply:
                      "--a", "1", "--b", "1"]) == 2
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["multiply", "--method", "schoolbook", "--a", "1",
-                  "--b", "1", "--frobnicate"])
+        # multiply draws nothing random, so it takes no --seed
+        for extra in (["--frobnicate"], ["--seed", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["multiply", "--method", "schoolbook", "--a", "1",
+                      "--b", "1"] + extra)
+            assert exc.value.code == 2
 
     def test_method_disagreement_exits_3(self, monkeypatch, capsys):
         import pqmul.cli as cli_mod

@@ -7,6 +7,7 @@ run fine on any core count, they just timeshare).
 """
 
 import gc
+import multiprocessing as mp
 import random
 import statistics
 import time
@@ -180,6 +181,23 @@ class TestWorkerMechanics:
             assert 1.0 < achieved[0] <= 105.0
         finally:
             stop_load(handle)
+
+    def test_first_window_excludes_worker_start_up(self, monkeypatch):
+        """Time a worker spends starting up is not load.
+
+        A spawned worker starts a fresh interpreter and imports the package
+        before its first spin, all inside a window opened right after
+        start_load, so an account that counted from process start would
+        read well over target.  A busier host only lowers the reading.
+        """
+        monkeypatch.setattr(loadgen, "mp", mp.get_context("spawn"))
+        monkeypatch.setattr(loadgen, "usable_cpu_count", lambda: 4)
+        handle = start_load(LoadProfile(1, 10))
+        try:
+            (achieved,) = measure_achieved_load(handle, 1000)
+        finally:
+            stop_load(handle)
+        assert 0.0 < achieved <= 13.0
 
     def test_stop_terminates_within_grace(self, monkeypatch):
         monkeypatch.setattr(loadgen, "usable_cpu_count", lambda: 4)
