@@ -15,7 +15,7 @@ import json
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .errors import CapacityError, InvalidInputError, TimerResolutionError
 from .loadgen import LoadProfile, start_load, usable_cpu_count
@@ -29,10 +29,6 @@ DEFAULT_COEFF_BOUND = 4096
 
 #: Untimed multiplications per cell before the timed runs.
 WARMUP_RUNS = 2
-
-CSV_COLUMNS = ("method", "k", "workers", "base_cutoff", "degree",
-               "load_pct", "run_index", "elapsed_ns", "mult_count")
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -83,6 +79,9 @@ class BenchmarkRecord:
                           base_cutoff=self.base_cutoff)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRecord))
+
+
 @dataclass(frozen=True)
 class CellStats:
     """Aggregate statistics for one (plan, degree, load) cell."""
@@ -127,13 +126,8 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
             for pi, plan in enumerate(spec.plans):
                 handle = start_load(LoadProfile(spec.loaded_workers, load))
                 try:
-                    for warm in range(WARMUP_RUNS):
-                        a = Polynomial.random(degree, bound, derive_seed(
-                            spec.seed, di, li, pi, 10_000 + warm, 0), spec.modulus)
-                        b = Polynomial.random(degree, bound, derive_seed(
-                            spec.seed, di, li, pi, 10_000 + warm, 1), spec.modulus)
-                        parallel_mul(a, b, plan)
-                    for run in range(spec.runs):
+                    # runs below 0 are the untimed warm-up
+                    for run in range(-WARMUP_RUNS, spec.runs):
                         a = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, run, 0), spec.modulus)
                         b = Polynomial.random(degree, bound, derive_seed(
@@ -141,6 +135,8 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
                         t0 = time.perf_counter_ns()
                         _, counter = parallel_mul(a, b, plan)
                         elapsed = time.perf_counter_ns() - t0
+                        if run < 0:
+                            continue
                         records.append(BenchmarkRecord(
                             method=plan.method, k=plan.k, workers=plan.workers,
                             base_cutoff=plan.base_cutoff, degree=degree,
@@ -187,23 +183,18 @@ def format_aggregate_table(stats: list[CellStats]) -> str:
     return "\n".join(lines)
 
 
-def export_records(records: list[BenchmarkRecord], fmt: str, path) -> None:
-    """Write records as CSV (fixed column order, LF endings) or JSON."""
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+def export_records(records: list[BenchmarkRecord], path) -> None:
+    """Write records as JSON if the path ends in .json, else as CSV (fixed
+    column order, LF endings)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if str(path).endswith(".json"):
+            json.dump([dict(zip(CSV_COLUMNS, astuple(r))) for r in records],
+                      fh, indent=2)
+            fh.write("\n")
+        else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for r in records:
-                writer.writerow([r.method, r.k, r.workers, r.base_cutoff,
-                                 r.degree, r.load_pct, r.run_index,
-                                 r.elapsed_ns, r.mult_count])
-    elif fmt == "json":
-        rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise InvalidInputError(f"unknown record format {fmt!r}")
+            writer.writerows(astuple(r) for r in records)
 
 
 def import_records(path) -> list[BenchmarkRecord]:
@@ -211,15 +202,19 @@ def import_records(path) -> list[BenchmarkRecord]:
     .json, else CSV."""
     if not str(path).endswith(".json"):
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != list(CSV_COLUMNS):
-                raise InvalidInputError(
-                    f"{path}: unexpected CSV header {reader.fieldnames}")
-            return [_record_from_row(row, path) for row in reader]
+            try:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames != list(CSV_COLUMNS):
+                    raise InvalidInputError(
+                        f"{path}: unexpected CSV header {reader.fieldnames}")
+                return [_record_from_row(row, path) for row in reader]
+            except (UnicodeDecodeError, csv.Error) as exc:
+                # bad UTF-8, or a field longer than csv.field_size_limit()
+                raise InvalidInputError(f"{path}: unreadable: {exc}") from exc
     with open(path, encoding="utf-8") as fh:
         try:
             rows = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
             raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
         raise InvalidInputError(f"{path}: expected a JSON array of records")

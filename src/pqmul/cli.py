@@ -53,13 +53,15 @@ EXIT_COVERAGE = 5
 
 def _parse_poly(text: str, modulus: int | None) -> Polynomial:
     """Inline "3,10,8" (lowest degree first) or @file with one value per line."""
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            values = [line.strip() for line in fh if line.strip()]
-    else:
-        values = text.split(",")
     try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                values = [line.strip() for line in fh if line.strip()]
+        else:
+            values = text.split(",")
         coeffs = [int(v) for v in values]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{text[1:]}: not UTF-8: {exc}") from exc
     except ValueError as exc:
         raise InvalidInputError(f"bad coefficient in {text!r}: {exc}") from exc
     return Polynomial(coeffs, modulus)
@@ -177,10 +179,8 @@ def cmd_count_check(args) -> int:
     lengths = _parse_int_list(args.lengths)
     plan = _plan(args.method, args.k, 1, 1)
     for n in lengths:
-        a = Polynomial.random(n, 64, derive_seed(args.seed, n, 0), args.modulus) \
-            if n > 1 else Polynomial([1], args.modulus)
-        b = Polynomial.random(n, 64, derive_seed(args.seed, n, 1), args.modulus) \
-            if n > 1 else Polynomial([1], args.modulus)
+        a = Polynomial.random(n, 64, derive_seed(args.seed, n, 0), args.modulus)
+        b = Polynomial.random(n, 64, derive_seed(args.seed, n, 1), args.modulus)
         counter = OperationCounter()
         multiply(a, b, plan, counter)
         predicted = predicted_mult_count(plan, n)
@@ -202,7 +202,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         modulus=args.modulus)
     records = run_benchmark(spec)
-    export_records(records, args.format, args.out)
+    export_records(records, args.out)
     meta = write_metadata_sidecar(args.out)
     print(format_aggregate_table(aggregate(records)))
     print(f"wrote {len(records)} records to {args.out} (metadata: {meta})")
@@ -246,8 +246,12 @@ def cmd_simulate(args) -> int:
         model = TimeModel.from_records(import_records(args.records))
     else:
         raise InvalidInputError("simulate needs --records or --live")
-    report = run_simulation(scenario, table, model)
-    render_report(report, args.format, args.output)
+    text = render_report(run_simulation(scenario, table, model), args.format)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -302,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plans", default="karatsuba:w1,toom3:w1,toom3:w5")
     p.add_argument("--cutoff", type=int, default=DEFAULT_BASE_CUTOFF,
                    help="base cutoff for plans without :cN")
-    p.add_argument("--out", required=True, help="records file to write")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", required=True,
+                   help="records file to write: JSON if it ends in .json, "
+                        "else CSV")
     _add_common(p, modulus_default=4096)
     p.set_defaults(func=cmd_bench)
 

@@ -361,7 +361,11 @@ def _need(obj: dict, key: str, kind, where: str, error=RuleTableError):
     return val
 
 
-def _plan_from_dict(d: dict, where: str, error=RuleTableError) -> MethodPlan:
+def _plan_at(obj: dict, key: str, where: str,
+             error=RuleTableError) -> MethodPlan:
+    """The plan descriptor obj[key], read strictly; errors name its path."""
+    d = _need(obj, key, dict, where, error)
+    where = f"{where}.{key}"
     try:
         return MethodPlan(
             method=_need(d, "method", str, where, error),
@@ -377,8 +381,7 @@ def table_from_dict(data: dict) -> RuleTable:
     if version != RULE_FILE_VERSION:
         raise RuleTableError(
             f"rules.version: unsupported version {version}")
-    default_plan = _plan_from_dict(
-        _need(data, "default_plan", dict, "rules"), "rules.default_plan")
+    default_plan = _plan_at(data, "default_plan", "rules")
     entries = []
     raw_entries = _need(data, "entries", list, "rules")
     for i, raw in enumerate(raw_entries):
@@ -396,15 +399,9 @@ def table_from_dict(data: dict) -> RuleTable:
             threshold_parallel_vs_sequential_pct=_need(
                 thresholds, "parallel_vs_sequential_pct", float,
                 f"{ew}.thresholds"),
-            parallel_plan=_plan_from_dict(
-                _need(plans, "parallel", dict, f"{ew}.plans"),
-                f"{ew}.plans.parallel"),
-            karatsuba_plan=_plan_from_dict(
-                _need(plans, "karatsuba", dict, f"{ew}.plans"),
-                f"{ew}.plans.karatsuba"),
-            sequential_plan=_plan_from_dict(
-                _need(plans, "sequential", dict, f"{ew}.plans"),
-                f"{ew}.plans.sequential")))
+            parallel_plan=_plan_at(plans, "parallel", f"{ew}.plans"),
+            karatsuba_plan=_plan_at(plans, "karatsuba", f"{ew}.plans"),
+            sequential_plan=_plan_at(plans, "sequential", f"{ew}.plans")))
     return RuleTable(entries=tuple(entries), default_plan=default_plan)
 
 
@@ -413,7 +410,7 @@ def load_rules(path) -> RuleTable:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
             raise RuleTableError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return table_from_dict(data)

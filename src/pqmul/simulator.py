@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +25,7 @@ from .policy import (
     RuleTable,
     SystemState,
     _need,
-    _plan_from_dict,
+    _plan_at,
     select_method,
 )
 from .poly import derive_seed
@@ -215,31 +214,24 @@ def report_to_dict(report: SimReport) -> dict:
     }
 
 
-def render_report(report: SimReport, fmt: str = "text", path=None) -> str:
-    """Render to text or canonical JSON; write to path or stdout.
+def render_report(report: SimReport, fmt: str = "text") -> str:
+    """The report as text or canonical JSON.
 
     Rendering the same report twice yields byte-identical output.
     """
     if fmt == "json":
-        text = json.dumps(report_to_dict(report), indent=2) + "\n"
-    elif fmt == "text":
-        lines = [f"policy_mode: {report.policy_mode}"]
-        for m in report.per_mec:
-            plans = " ".join(f"{label}={count}"
-                             for label, count in m.plan_counts.items())
-            lines.append(f"mec {m.mec}: handovers={m.handovers} {plans}".rstrip())
-        lines.append(f"total handovers: {report.total_handovers}")
-        lines.append(f"mean latency: {report.mean_latency_ms:.3f} ms")
-        lines.append(f"p95 latency: {report.p95_latency_ms:.3f} ms")
-        text = "\n".join(lines) + "\n"
-    else:
+        return json.dumps(report_to_dict(report), indent=2) + "\n"
+    if fmt != "text":
         raise InvalidInputError(f"unknown report format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    lines = [f"policy_mode: {report.policy_mode}"]
+    for m in report.per_mec:
+        plans = " ".join(f"{label}={count}"
+                         for label, count in m.plan_counts.items())
+        lines.append(f"mec {m.mec}: handovers={m.handovers} {plans}".rstrip())
+    lines.append(f"total handovers: {report.total_handovers}")
+    lines.append(f"mean latency: {report.mean_latency_ms:.3f} ms")
+    lines.append(f"p95 latency: {report.p95_latency_ms:.3f} ms")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +283,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                              load_trace=tuple(trace)))
     fixed_plan = None
     if data["fixed_plan"] is not None:
-        fixed_plan = _plan_from_dict(
-            _need_field(data, "fixed_plan", dict, "scenario"),
-            "scenario.fixed_plan", ScenarioError)
+        fixed_plan = _plan_at(data, "fixed_plan", "scenario", ScenarioError)
     return Scenario(
         mec_nodes=tuple(nodes),
         vehicles=_need_field(data, "vehicles", int, "scenario"),
@@ -312,7 +302,7 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return scenario_from_dict(data)

@@ -286,8 +286,8 @@ def test_criterion_10_round_trips(machine_sweep, tmp_path):
     for fmt in ("csv", "json"):
         p1 = tmp_path / f"records1.{fmt}"
         p2 = tmp_path / f"records2.{fmt}"
-        export_records(records, fmt, p1)
-        export_records(import_records(p1), fmt, p2)
+        export_records(records, p1)
+        export_records(import_records(p1), p2)
         assert p1.read_bytes() == p2.read_bytes(), f"records {fmt} round-trip"
     r1, r2 = tmp_path / "rules1.json", tmp_path / "rules2.json"
     save_rules(table, r1)

@@ -129,15 +129,15 @@ class TestRoundTrips:
                    for l in (0, 25) for i in range(2)]
         p1 = tmp_path / f"r1.{fmt}"
         p2 = tmp_path / f"r2.{fmt}"
-        export_records(records, fmt, p1)
+        export_records(records, p1)
         back = import_records(p1)
         assert back == records
-        export_records(back, fmt, p2)
+        export_records(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_header_exact(self, tmp_path):
         path = tmp_path / "r.csv"
-        export_records([], "csv", path)
+        export_records([], path)
         content = path.read_bytes()
         assert content == b"method,k,workers,base_cutoff,degree,load_pct,run_index,elapsed_ns,mult_count\n"
         assert import_records(path) == []
@@ -152,10 +152,6 @@ class TestRoundTrips:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             import_records(path)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            export_records([], "xml", tmp_path / "r.xml")
 
     @pytest.mark.parametrize("text", [
         "[[0",

@@ -7,7 +7,7 @@ import pytest
 from pqmul import BenchmarkRecord, MethodPlan, export_records, save_scenario
 from pqmul.cli import main
 from pqmul.loadgen import usable_cpu_count
-from pqmul.simulator import MecNode, Scenario
+from pqmul.simulator import MecNode, Scenario, run_simulation
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
 TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
@@ -28,7 +28,7 @@ def synthetic_records_file(tmp_path, name="records.csv"):
                     run_index=i, elapsed_ns=int(base + slope * load),
                     mult_count=1000))
     path = tmp_path / name
-    export_records(records, "csv", path)
+    export_records(records, path)
     return path
 
 
@@ -148,10 +148,26 @@ class TestBench:
         assert main(["bench", "--degrees", "16", "--loads", "0",
                      "--loaded-workers", "0", "--runs", "1",
                      "--plans", "toom4:w2:c4,schoolbook",
-                     "--format", "json", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
         assert {(r["method"], r["workers"], r["base_cutoff"])
                 for r in rows} == {("toom", 2, 4), ("schoolbook", 1, 1)}
+
+    def test_format_flag_rejected(self, tmp_path):
+        # the records format follows the --out name
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--format", "json", "--out",
+                  str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+
+    def test_json_records_feed_calibrate(self, tmp_path, capsys):
+        out = tmp_path / "recs.json"
+        assert main(["bench", "--degrees", "16", "--loads", "0,10,20",
+                     "--loaded-workers", "0", "--runs", "1",
+                     "--plans", "karatsuba:w1,toom3:w1,toom3:w2",
+                     "--out", str(out)]) == 0
+        assert main(["calibrate", "--records", str(out),
+                     "--out", str(tmp_path / "rules.json")]) == 0
 
 
 class TestBenchDefaults:
@@ -214,7 +230,7 @@ class TestCalibrateSelect:
                 degree=512, load_pct=load, run_index=0,
                 elapsed_ns=1000, mult_count=10))
         path = tmp_path / "only_karatsuba.csv"
-        export_records(records, "csv", path)
+        export_records(records, path)
         assert main(["calibrate", "--records", str(path),
                      "--out", str(tmp_path / "r.json")]) == 5
 
@@ -284,3 +300,57 @@ class TestSimulate:
         records, rules, _ = self.make_files(tmp_path)
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--rules", str(rules), "--records", str(records)]) == 2
+
+    def test_live_timer_runs_fixed_plan(self, tmp_path):
+        scenario = Scenario(
+            mec_nodes=(MecNode(cores=1, load_trace=((0, 0),)),
+                       MecNode(cores=2, load_trace=((0, 50),))),
+            vehicles=3, handover_interval_ms=1_000.0, degree=32,
+            duration_ms=10_000.0, seed=4, policy_mode="fixed_plan",
+            fixed_plan=MethodPlan.karatsuba(base_cutoff=8))
+        spath, out = tmp_path / "scenario.json", tmp_path / "report.json"
+        save_scenario(scenario, spath)
+        assert main(["simulate", "--scenario", str(spath), "--live",
+                     "--format", "json", "--output", str(out)]) == 0
+        live = json.loads(out.read_text())
+
+        class Stub:
+            def predict(self, plan, degree, load_pct):
+                return 1.0
+
+        # handover times come from the seed, never from the latencies
+        model = run_simulation(scenario, None, Stub())
+        assert live["total_handovers"] == model.total_handovers > 0
+        assert [m["plan_counts"] for m in live["per_mec"]] == \
+            [m.plan_counts for m in model.per_mec]
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("select --rules {tmp}/latin1.json --degree 1 --load 0 --cores 1",
+     "latin1.json"),
+    ("select --rules {tmp}/digits.json --degree 1 --load 0 --cores 1",
+     "digits.json"),
+    ("calibrate --records {tmp}/latin1.json --out {tmp}/r.json",
+     "latin1.json"),
+    ("calibrate --records {tmp}/latin1.csv --out {tmp}/r.json", "latin1.csv"),
+    ("calibrate --records {tmp}/long.csv --out {tmp}/r.json", "long.csv"),
+    ("calibrate --records {tmp}/digits.json --out {tmp}/r.json",
+     "digits.json"),
+    ("simulate --scenario {tmp}/latin1.json --live", "latin1.json"),
+    ("simulate --scenario {tmp}/digits.json --live", "digits.json"),
+    ("multiply --method schoolbook --a @{tmp}/latin1.txt --b 1", "latin1.txt"),
+], ids=["select", "select_digits", "calibrate_json", "calibrate_csv",
+        "calibrate_long_field", "calibrate_digits", "simulate",
+        "simulate_digits", "multiply"])
+def test_unreadable_file_exits_2(argv, name, tmp_path, capsys):
+    """A file that is not UTF-8, holds a JSON integer too long to parse or
+    a CSV field longer than the csv module reads, is invalid input that
+    names the file."""
+    (tmp_path / "latin1.json").write_bytes(b'["caf\xe9"]')
+    (tmp_path / "latin1.csv").write_bytes(b"caf\xe9\n")
+    (tmp_path / "latin1.txt").write_bytes(b"1\n\xe9\n")
+    (tmp_path / "digits.json").write_text('{"version": ' + "9" * 5000 + "}")
+    (tmp_path / "long.csv").write_text("9" * 200_000 + "\n")
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err

@@ -122,7 +122,7 @@ class TestRun:
         assert report.mean_latency_ms == 0.0
         assert all(m.handovers == 0 and m.plan_counts == {}
                    for m in report.per_mec)
-        json.loads(render_report(report, "json", None) or "{}")
+        json.loads(render_report(report, "json"))
 
     def test_deterministic_per_seed(self, calibrated):
         table, model = calibrated
@@ -184,20 +184,17 @@ class TestRun:
 
 
 class TestRender:
-    def test_json_byte_identical(self, calibrated, tmp_path):
+    def test_json_byte_identical(self, calibrated):
         table, model = calibrated
         report = run_simulation(make_scenario(), table, model)
-        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        render_report(report, "json", p1)
-        render_report(report, "json", p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert json.loads(p1.read_text())["total_handovers"] == \
-            report.total_handovers
+        text = render_report(report, "json")
+        assert render_report(report, "json") == text
+        assert json.loads(text)["total_handovers"] == report.total_handovers
 
     def test_text_one_line_per_mec_plus_aggregate(self, calibrated):
         table, model = calibrated
         report = run_simulation(make_scenario(), table, model)
-        text = render_report(report, "text", None)
+        text = render_report(report, "text")
         lines = text.splitlines()
         assert sum(1 for l in lines if l.startswith("mec ")) == 2
         assert any(l.startswith("total handovers:") for l in lines)
@@ -215,7 +212,7 @@ class TestRender:
         table, model = calibrated
         report = run_simulation(make_scenario(vehicles=0), table, model)
         with pytest.raises(InvalidInputError):
-            render_report(report, "yaml", None)
+            render_report(report, "yaml")
 
 
 class TestScenarioFiles:
@@ -317,7 +314,7 @@ def test_load_at_matches_linear_scan():
             assert node.load_at(t) == linear_load_at(node.load_trace, t), t
 
 
-def test_json_report_bytes_pinned(calibrated, tmp_path):
+def test_json_report_bytes_pinned(calibrated):
     """The JSON report of a fixed multi-vehicle scenario is byte-identical
     across versions: same seeds, same mixer, same latencies and counts."""
     import hashlib
@@ -325,6 +322,5 @@ def test_json_report_bytes_pinned(calibrated, tmp_path):
     table, model = calibrated
     report = run_simulation(make_scenario(), table, model)
     assert report.total_handovers > 0 and len(report.per_vehicle) == 8
-    path = tmp_path / "report.json"
-    render_report(report, "json", path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256
+    text = render_report(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
