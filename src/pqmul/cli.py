@@ -2,6 +2,11 @@
 
 Subcommands: multiply, count-check, bench, calibrate, select, simulate.
 
+multiply --plan, count-check --plan and bench --plans name a computation by
+a plan token: schoolbook | karatsuba | toom3 | toom4, then optional :wN
+(workers) and :cN (base cutoff), e.g. toom3:w2:c1.  _parse_plan is the one
+reader of that grammar.
+
 Exit codes: 0 success, 2 invalid input/plan/file, 3 self-check failure
 (methods disagree), 4 capacity or environment error, 5 calibration/coverage
 error.
@@ -87,33 +92,27 @@ def _parse_int_list(text: str) -> list[int]:
     return [_int(v, text) for v in text.split(",")]
 
 
-def _plan(method: str, k: int, workers: int, cutoff: int) -> MethodPlan:
-    """The plan of a method name: schoolbook ignores k and cutoff,
-    Karatsuba ignores k."""
-    if method == "schoolbook":
-        return MethodPlan.schoolbook(workers=workers)
-    if method == "karatsuba":
-        return MethodPlan.karatsuba(workers=workers, base_cutoff=cutoff)
-    return MethodPlan.toom(k=k, workers=workers, base_cutoff=cutoff)
-
-
-def _parse_plan(token: str, default_cutoff: int) -> MethodPlan:
-    """Plan tokens: schoolbook | karatsuba | toom3 | toom4 [:wN] [:cN]."""
-    parts = token.split(":")
-    name = parts[0]
-    workers, cutoff = 1, default_cutoff
-    for extra in parts[1:]:
+def _parse_plan(token: str) -> MethodPlan:
+    """A plan token: schoolbook | karatsuba | toom3 | toom4, then optional
+    :wN (workers) and :cN (base cutoff, default DEFAULT_BASE_CUTOFF;
+    schoolbook ignores it)."""
+    name, *extras = token.split(":")
+    workers, cutoff = 1, DEFAULT_BASE_CUTOFF
+    for extra in extras:
         if extra.startswith("w"):
             workers = _int(extra[1:], token)
         elif extra.startswith("c"):
             cutoff = _int(extra[1:], token)
         else:
             raise InvalidInputError(f"bad plan modifier {extra!r} in {token!r}")
+    if name == "schoolbook":
+        return MethodPlan.schoolbook(workers=workers)
+    if name == "karatsuba":
+        return MethodPlan.karatsuba(workers=workers, base_cutoff=cutoff)
     if name in ("toom3", "toom4"):
-        return _plan("toom", int(name[-1]), workers, cutoff)
-    if name not in ("schoolbook", "karatsuba"):
-        raise InvalidInputError(f"unknown plan {name!r}")
-    return _plan(name, 0, workers, cutoff)
+        return MethodPlan.toom(k=int(name[-1]), workers=workers,
+                               base_cutoff=cutoff)
+    raise InvalidInputError(f"unknown plan {name!r}")
 
 
 def _parse_bands(text: str) -> list[tuple[int, int]]:
@@ -129,18 +128,16 @@ def _parse_bands(text: str) -> list[tuple[int, int]]:
 class LiveTimer:
     """predict() look-alike that actually multiplies and times it."""
 
-    def __init__(self, seed: int = 0, modulus: int | None = 4096):
+    def __init__(self, seed: int, modulus: int):
         self._seed = seed
         self._modulus = modulus
         self._calls = 0
 
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
-        bound = self._modulus if self._modulus is not None else 4096
+        q = self._modulus
         self._calls += 1
-        a = Polynomial.random(degree, bound, derive_seed(self._seed, self._calls, 0),
-                              self._modulus)
-        b = Polynomial.random(degree, bound, derive_seed(self._seed, self._calls, 1),
-                              self._modulus)
+        a = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 0), q)
+        b = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 1), q)
         t0 = time.perf_counter_ns()
         parallel_mul(a, b, plan)
         return float(time.perf_counter_ns() - t0)
@@ -151,7 +148,7 @@ class LiveTimer:
 # ---------------------------------------------------------------------------
 
 def cmd_multiply(args) -> int:
-    plan = _plan(args.method, args.k, args.workers, args.cutoff)
+    plan = _parse_plan(args.plan)
     a = _parse_poly(args.a, args.modulus)
     b = _parse_poly(args.b, args.modulus)
     result, counter = parallel_mul(a, b, plan)
@@ -174,13 +171,16 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_count_check(args) -> int:
-    """Verify measured base-case multiplication counts against the formulas."""
+    """Verify measured base-case multiplication counts against the formulas.
+
+    The counts follow from the operand lengths alone, so the operands are
+    fixed draws."""
     failures = 0
     lengths = _parse_int_list(args.lengths)
-    plan = _plan(args.method, args.k, 1, 1)
+    plan = _parse_plan(args.plan)
     for n in lengths:
-        a = Polynomial.random(n, 64, derive_seed(args.seed, n, 0), args.modulus)
-        b = Polynomial.random(n, 64, derive_seed(args.seed, n, 1), args.modulus)
+        a = Polynomial.random(n, 64, derive_seed(0, n, 0))
+        b = Polynomial.random(n, 64, derive_seed(0, n, 1))
         counter = OperationCounter()
         multiply(a, b, plan, counter)
         predicted = predicted_mult_count(plan, n)
@@ -192,7 +192,7 @@ def cmd_count_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    plans = tuple(_parse_plan(tok, args.cutoff) for tok in args.plans.split(","))
+    plans = tuple(_parse_plan(tok) for tok in args.plans.split(","))
     spec = BenchmarkSpec(
         degrees=tuple(_parse_int_list(args.degrees)),
         plans=plans,
@@ -259,13 +259,6 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, modulus_default=None):
-    sub.add_argument("--seed", type=int, default=0,
-                     help="base RNG seed (default 0)")
-    sub.add_argument("--modulus", type=int, default=modulus_default,
-                     help="coefficient modulus q; omit for signed integers")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqmul",
@@ -274,11 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("multiply", help="multiply two polynomials")
-    p.add_argument("--method", choices=["schoolbook", "karatsuba", "toom"],
-                   required=True)
-    p.add_argument("--k", type=int, default=3, help="Toom splitting factor")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_BASE_CUTOFF)
+    p.add_argument("--plan", required=True,
+                   help="schoolbook | karatsuba | toom3 | toom4, then optional "
+                        ":wN (workers) and :cN (base cutoff, default "
+                        f"{DEFAULT_BASE_CUTOFF}), e.g. toom3:w2:c1")
     p.add_argument("--a", required=True,
                    help="coefficients '3,4' (lowest first) or @file")
     p.add_argument("--b", required=True)
@@ -288,14 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_multiply)
 
     p = subs.add_parser("count-check",
-                        help="verify operation counts against the formulas "
-                             "(base cutoff forced to 1)")
-    p.add_argument("--method", choices=["schoolbook", "karatsuba", "toom"],
-                   required=True)
-    p.add_argument("--k", type=int, default=3)
+                        help="verify operation counts against the formulas")
+    p.add_argument("--plan", required=True,
+                   help="plan token, as for multiply --plan")
     p.add_argument("--lengths", required=True,
                    help="lengths to check, e.g. '4,64,512' or '1:64:1'")
-    _add_common(p)
     p.set_defaults(func=cmd_count_check)
 
     p = subs.add_parser("bench", help="run the Monte Carlo benchmark grid")
@@ -303,13 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loads", default="0:90:5")
     p.add_argument("--loaded-workers", type=int, default=4, dest="loaded_workers")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--plans", default="karatsuba:w1,toom3:w1,toom3:w5")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_BASE_CUTOFF,
-                   help="base cutoff for plans without :cN")
+    p.add_argument("--plans", default="karatsuba:w1,toom3:w1,toom3:w5",
+                   help="comma-separated plan tokens (see multiply --plan)")
     p.add_argument("--out", required=True,
                    help="records file to write: JSON if it ends in .json, "
                         "else CSV")
-    _add_common(p, modulus_default=4096)
+    p.add_argument("--seed", type=int, default=0,
+                   help="base RNG seed (default 0)")
+    p.add_argument("--modulus", type=int, default=4096,
+                   help="coefficient modulus q (default 4096)")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("calibrate", help="build a rule table from records")

@@ -56,6 +56,11 @@ class OperationCounter:
                 f"adds={self.fundamental_adds})")
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 2:
+        raise InvalidInputError(f"modulus must be >= 2, got {modulus}")
+
+
 def _normalize(coeffs: list[int]) -> list[int]:
     end = len(coeffs)
     while end > 1 and coeffs[end - 1] == 0:
@@ -82,8 +87,7 @@ class Polynomial:
         if not coeffs:
             raise InvalidInputError("a polynomial needs at least one coefficient")
         if modulus is not None:
-            if modulus < 2:
-                raise InvalidInputError(f"modulus must be >= 2, got {modulus}")
+            _check_modulus(modulus)
             coeffs = [c % modulus for c in coeffs]
         self._coeffs = tuple(_normalize(coeffs))
         self._modulus = modulus
@@ -99,9 +103,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self._coeffs == (0,)
 
     def __len__(self):
         return len(self._coeffs)
@@ -123,28 +124,6 @@ class Polynomial:
             raise RingMismatchError(
                 f"mixed moduli: {self._modulus} vs {other._modulus}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        a, b = self._coeffs, other._coeffs
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out, self._modulus)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        a, b = self._coeffs, other._coeffs
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] -= c
-        return Polynomial(out, self._modulus)
-
     @classmethod
     def random(cls, num_coeffs: int, coeff_bound: int, seed: int,
                modulus: int | None = None) -> "Polynomial":
@@ -160,6 +139,8 @@ class Polynomial:
             raise InvalidInputError(
                 f"coeff_bound must be >= 2 so the leading coefficient can be "
                 f"nonzero, got {coeff_bound}")
+        if modulus is not None:
+            _check_modulus(modulus)
         rng = random.Random(seed)
         coeffs = [rng.randrange(coeff_bound) for _ in range(num_coeffs - 1)]
         lead = rng.randrange(1, coeff_bound)

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 from .errors import CoverageError, InvalidInputError, ScenarioError
@@ -255,8 +255,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 #: Values of the optional scenario fields when the file omits them.
-_SCENARIO_DEFAULTS = {"mults_per_handover": 10, "seed": 0,
-                      "policy_mode": "rule_table", "fixed_plan": None}
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)
+                      if f.default is not MISSING}
 
 _need_field = partial(_need, error=ScenarioError)
 

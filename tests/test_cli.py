@@ -1,17 +1,21 @@
 """CLI: subcommand behavior, exit codes, file outputs."""
 
 import json
+import shlex
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from pqmul import BenchmarkRecord, MethodPlan, export_records, save_scenario
-from pqmul.cli import main
+from pqmul.cli import _parse_plan, main
 from pqmul.loadgen import usable_cpu_count
 from pqmul.simulator import MecNode, Scenario, run_simulation
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
 TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
 TOOM_PAR = MethodPlan.toom(3, workers=5, base_cutoff=16)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def synthetic_records_file(tmp_path, name="records.csv"):
@@ -34,54 +38,69 @@ def synthetic_records_file(tmp_path, name="records.csv"):
 
 class TestMultiply:
     def test_schoolbook_example(self, capsys):
-        assert main(["multiply", "--method", "schoolbook",
+        assert main(["multiply", "--plan", "schoolbook",
                      "--a", "3,4", "--b", "1,2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "3,10,8"
         assert "fundamental_mults=4" in out[1]
 
     def test_karatsuba_three_mults(self, capsys):
-        assert main(["multiply", "--method", "karatsuba", "--cutoff", "1",
+        assert main(["multiply", "--plan", "karatsuba:c1",
                      "--a", "3,4", "--b", "1,2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "3,10,8"
         assert "fundamental_mults=3" in out[1]
 
     def test_json_format(self, capsys):
-        assert main(["multiply", "--method", "toom", "--k", "3",
-                     "--cutoff", "1", "--a", "1,1,1", "--b", "1,1,1",
-                     "--format", "json"]) == 0
+        assert main(["multiply", "--plan", "toom3:c1",
+                     "--a", "1,1,1", "--b", "1,1,1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["coeffs"] == [1, 2, 3, 2, 1]
         assert data["fundamental_mults"] == 5
 
     def test_modulus(self, capsys):
-        assert main(["multiply", "--method", "schoolbook", "--modulus", "7",
+        assert main(["multiply", "--plan", "schoolbook", "--modulus", "7",
                      "--a", "6,6", "--b", "6"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "1,1"
 
     def test_file_operands(self, tmp_path, capsys):
         f = tmp_path / "a.txt"
         f.write_text("3\n4\n")
-        assert main(["multiply", "--method", "schoolbook",
+        assert main(["multiply", "--plan", "schoolbook",
                      "--a", f"@{f}", "--b", "1,2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "3,10,8"
 
     def test_bad_coefficients_exit_2(self, capsys):
-        assert main(["multiply", "--method", "schoolbook",
+        assert main(["multiply", "--plan", "schoolbook",
                      "--a", "3,x", "--b", "1"]) == 2
 
     def test_bad_plan_exit_2(self, capsys):
-        assert main(["multiply", "--method", "toom", "--k", "9",
-                     "--a", "1", "--b", "1"]) == 2
+        for token in ("toom5", "toom9", "toom3:x1", "karatsuba:w0",
+                      "toom3:c0"):
+            assert main(["multiply", "--plan", token,
+                         "--a", "1", "--b", "1"]) == 2, token
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_flag_rejected(self):
-        # multiply draws nothing random, so it takes no --seed
-        for extra in (["--frobnicate"], ["--seed", "0"]):
+        # multiply draws nothing random, so it takes no --seed; the plan
+        # token replaced --method, --k, --workers and --cutoff
+        for extra in (["--frobnicate"], ["--seed", "0"], ["--cutoff", "1"],
+                      ["--method", "schoolbook"], ["--k", "3"],
+                      ["--workers", "1"]):
             with pytest.raises(SystemExit) as exc:
-                main(["multiply", "--method", "schoolbook", "--a", "1",
+                main(["multiply", "--plan", "schoolbook", "--a", "1",
                       "--b", "1"] + extra)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("token", [
+        "schoolbook", "karatsuba", "toom3", "toom4", "schoolbook:w2",
+        "schoolbook:c5", "karatsuba:c1", "toom3:w2", "toom4:c2:w2"])
+    def test_json_plan_is_the_parsed_token(self, token, capsys):
+        assert main(["multiply", "--plan", token, "--a", "1,2,3,4,5",
+                     "--b", "5,4,3,2,1", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["plan"] == _parse_plan(token).as_dict()
+        assert data["coeffs"] == [5, 14, 26, 40, 55, 40, 26, 14, 5]
 
     def test_method_disagreement_exits_3(self, monkeypatch, capsys):
         import pqmul.cli as cli_mod
@@ -90,33 +109,67 @@ class TestMultiply:
         monkeypatch.setattr(cli_mod, "parallel_mul",
                             lambda a, b, plan: (Polynomial([999]),
                                                 OperationCounter()))
-        assert main(["multiply", "--method", "karatsuba",
+        assert main(["multiply", "--plan", "karatsuba",
                      "--a", "3,4", "--b", "1,2"]) == 3
         assert "self-check" in capsys.readouterr().err
 
 
 class TestCountCheck:
     def test_karatsuba_lengths(self, capsys):
-        assert main(["count-check", "--method", "karatsuba",
+        assert main(["count-check", "--plan", "karatsuba:c1",
                      "--lengths", "2,64,512"]) == 0
         out = capsys.readouterr().out
         assert "N=512 measured=19683 predicted=19683 ok" in out
 
     def test_toom3(self, capsys):
-        assert main(["count-check", "--method", "toom", "--k", "3",
+        assert main(["count-check", "--plan", "toom3:c1",
                      "--lengths", "729"]) == 0
         assert "measured=15625 predicted=15625 ok" in capsys.readouterr().out
 
     def test_schoolbook_range(self, capsys):
-        assert main(["count-check", "--method", "schoolbook",
+        assert main(["count-check", "--plan", "schoolbook",
                      "--lengths", "1:8:1"]) == 0
         assert "N=8 measured=64 predicted=64 ok" in capsys.readouterr().out
+
+    def test_honours_the_token_cutoff(self, capsys):
+        # a cutoff above 1 stops the recursion at blocks of up to 16
+        assert main(["count-check", "--plan", "karatsuba",
+                     "--lengths", "256,1000"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "N=256 measured=20736 predicted=20736 ok",
+            "N=1000 measured=186624 predicted=186624 ok"]
+
+    def test_seed_and_modulus_rejected(self):
+        # the counts follow from the lengths, so nothing random is exposed
+        for extra in (["--seed", "5"], ["--modulus", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["count-check", "--plan", "schoolbook",
+                      "--lengths", "4"] + extra)
+            assert exc.value.code == 2
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    """Each README multiply and count-check example prints the '# ' lines
+    under it, so the docs cannot drift from the flags."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    seen = set()
+    for i, line in enumerate(lines):
+        if not line.startswith(("pqmul multiply ", "pqmul count-check ")):
+            continue
+        argv = shlex.split(line)[1:]
+        shown = [out[2:] for out in
+                 takewhile(lambda x: x.startswith("# "), lines[i + 1:])]
+        assert shown, f"README shows no output for {line!r}"
+        assert main(argv) == 0, line
+        assert capsys.readouterr().out.splitlines() == shown, line
+        seen.add(argv[0])
+    assert seen == {"multiply", "count-check"}
 
 
 @pytest.mark.parametrize("argv", [
     "bench --degrees 5x --out {tmp}/r.csv",
     "bench --plans karatsuba:wx --out {tmp}/r.csv",
-    "count-check --method karatsuba --lengths 1:x:1",
+    "count-check --plan karatsuba --lengths 1:x:1",
     "calibrate --records {records} --bands 10- --out {tmp}/rules.json",
 ])
 def test_malformed_number_exits_2(argv, tmp_path, capsys):
@@ -173,7 +226,7 @@ class TestBench:
 class TestBenchDefaults:
     def test_defaults_reproduce_the_reference_grid_shape(self):
         """Default flags: degree 512, loads 0-90 step 5, 10 runs, 3 plans."""
-        from pqmul.cli import _parse_int_list, _parse_plan, build_parser
+        from pqmul.cli import _parse_int_list, build_parser
 
         args = build_parser().parse_args(["bench", "--out", "x.csv"])
         assert _parse_int_list(args.degrees) == [512]
@@ -181,10 +234,9 @@ class TestBenchDefaults:
         assert args.runs == 10
         assert args.loaded_workers == 4
         assert args.modulus == 4096
-        plans = [_parse_plan(tok, args.cutoff)
-                 for tok in args.plans.split(",")]
-        assert [(p.method, p.k, p.workers) for p in plans] == \
-            [("karatsuba", 2, 1), ("toom", 3, 1), ("toom", 3, 5)]
+        plans = [_parse_plan(tok) for tok in args.plans.split(",")]
+        assert [(p.method, p.k, p.workers, p.base_cutoff) for p in plans] == \
+            [("karatsuba", 2, 1, 16), ("toom", 3, 1, 16), ("toom", 3, 5, 16)]
 
 
 class TestCalibrateSelect:
@@ -338,7 +390,7 @@ class TestSimulate:
      "digits.json"),
     ("simulate --scenario {tmp}/latin1.json --live", "latin1.json"),
     ("simulate --scenario {tmp}/digits.json --live", "digits.json"),
-    ("multiply --method schoolbook --a @{tmp}/latin1.txt --b 1", "latin1.txt"),
+    ("multiply --plan schoolbook --a @{tmp}/latin1.txt --b 1", "latin1.txt"),
 ], ids=["select", "select_digits", "calibrate_json", "calibrate_csv",
         "calibrate_long_field", "calibrate_digits", "simulate",
         "simulate_digits", "multiply"])

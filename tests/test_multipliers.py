@@ -245,8 +245,8 @@ class TestOracleEquivalence:
     def test_zero_polynomial(self):
         z = Polynomial([0])
         a = Polynomial.random(30, 10, seed=9)
-        assert multiply(a, z, MethodPlan.toom(3)).is_zero()
-        assert multiply(z, z, MethodPlan.karatsuba()).is_zero()
+        assert multiply(a, z, MethodPlan.toom(3)) == z
+        assert multiply(z, z, MethodPlan.karatsuba()) == z
 
 
 class TestPredictedCount:
