@@ -21,7 +21,7 @@ from .errors import CapacityError, InvalidInputError, TimerResolutionError
 from .loadgen import LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan
 from .parallel import parallel_mul
-from .poly import Polynomial, derive_seed
+from .poly import Polynomial, _check_modulus, derive_seed
 
 #: Coefficient bound for generated operands when no modulus is given
 #: (matches the CLI's default modulus).
@@ -57,6 +57,8 @@ class BenchmarkSpec:
             raise InvalidInputError("loaded_workers must be >= 0")
         if self.runs < 1:
             raise InvalidInputError("runs must be >= 1")
+        if self.modulus is not None:
+            _check_modulus(self.modulus)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,13 @@ from .multipliers import (
 from .parallel import parallel_mul
 from .policy import TimeModel, calibrate, load_rules, save_rules, select_method
 from .policy import SystemState
-from .poly import OperationCounter, Polynomial, derive_seed, schoolbook_mul
+from .poly import (
+    OperationCounter,
+    Polynomial,
+    _check_modulus,
+    derive_seed,
+    schoolbook_mul,
+)
 from .simulator import load_scenario, render_report, run_simulation
 
 EXIT_OK = 0
@@ -129,6 +135,7 @@ class LiveTimer:
     """predict() look-alike that actually multiplies and times it."""
 
     def __init__(self, seed: int, modulus: int):
+        _check_modulus(modulus)
         self._seed = seed
         self._modulus = modulus
         self._calls = 0
@@ -178,6 +185,10 @@ def cmd_count_check(args) -> int:
     failures = 0
     lengths = _parse_int_list(args.lengths)
     plan = _parse_plan(args.plan)
+    if plan.workers != 1:
+        raise InvalidInputError(
+            f"count-check runs the sequential engine; drop :wN from "
+            f"{args.plan!r} (the counts do not depend on the workers)")
     for n in lengths:
         a = Polynomial.random(n, 64, derive_seed(0, n, 0))
         b = Polynomial.random(n, 64, derive_seed(0, n, 1))
@@ -240,8 +251,11 @@ def cmd_simulate(args) -> int:
         from dataclasses import replace
         scenario = replace(scenario, seed=args.seed)
     table = load_rules(args.rules) if args.rules else None
+    if args.modulus is not None and not args.live:
+        raise InvalidInputError("simulate --modulus needs --live")
     if args.live:
-        model = LiveTimer(seed=scenario.seed, modulus=args.modulus)
+        modulus = 4096 if args.modulus is None else args.modulus
+        model = LiveTimer(seed=scenario.seed, modulus=modulus)
     elif args.records:
         model = TimeModel.from_records(import_records(args.records))
     else:
@@ -329,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write report here")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--modulus", type=int, default=4096)
+    p.add_argument("--modulus", type=int, default=None,
+                   help="coefficient modulus q of the --live products "
+                        "(default 4096)")
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -12,8 +12,15 @@ so one engine drives all of them:
 
 With base_cutoff = 1 and operand length N = k^m the engine performs exactly
 (2k-1)^m fundamental multiplications, matching the N^(log_k(2k-1)) growth
-law; the cutoff trades formula exactness for wall-clock speed (schoolbook is
-faster below a few dozen coefficients).
+law; the cutoff trades formula exactness for wall-clock speed.  A leaf is
+one C-level big-int product, which CPython itself runs as Karatsuba on long
+operands, while every recursion node adds interpreter work (cutting,
+evaluating, interpolating, recomposing).  So DEFAULT_BASE_CUTOFF is a
+measured constant, as GMP's Toom thresholds are: of the cutoffs 16-127,
+swept over N = 256-1024 at q = 4096 and 8192, 127 ran the benchmark's
+product mix fastest, about 1.8x cutoff 16.  It stays below 128, so every
+method still splits N = 256 once and N >= 509 at least twice, and Karatsuba
+and Toom-Cook remain different computations.
 
 Interpolation is done entirely over the integers: every division in the
 back-substitution below is exact for any integer inputs, so modular operands
@@ -66,8 +73,9 @@ s is the bit length of V plus k's headroom, rounded up to whole bytes, and
 derived per product from the operands (never from a setting).  So every
 value fits its slot (4 V, 8 V, 2^11 V <= 2^(s-1)) and every correct
 quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).  At
-q = 2^13, cutoff 16 and N = 256, 512, 768, 1024 that is 48 bits for
-Karatsuba, 56/56/56/64 for Toom-3 and 72/80/80/80 for Toom-4.
+q = 2^13, the default cutoff and N = 256, 512, 768, 1024 that is
+40/48/48/48 bits for Karatsuba, 48/48/48/56 for Toom-3 and 56/72/72/72 for
+Toom-4 (at cutoff 16, with more levels: 48, 56/56/56/64 and 72/80/80/80).
 
 Division guard.  A zero remainder of divmod(X, d) does not mean that d
 divides every slot: slots (1, -1) with s = 16 give X = 1 - 2^16, which 3
@@ -134,9 +142,10 @@ TOOMCOOK = "toom"
 
 METHODS = (SCHOOLBOOK, KARATSUBA, TOOMCOOK)
 
-#: Base-case length at/below which recursion falls back to schoolbook.
-#: Used for wall-clock benchmarking; count verification forces 1.
-DEFAULT_BASE_CUTOFF = 16
+#: Base-case length at/below which recursion falls back to one big-int
+#: product; measured, see the module docstring.  Cutoff 1 gives the
+#: textbook counts.
+DEFAULT_BASE_CUTOFF = 127
 
 #: Evaluation points per splitting factor (math.inf marks the leading part).
 EVALUATION_POINTS = {
@@ -555,7 +564,7 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
 
 #: Evaluation trees _leaves keeps, one per operand or block: a long operand
 #: shared across a batch stays in the memo while its blocks + 1 <= 64.  One
-#: tree of N = 1024 at cutoff 16 takes 67-96 kB.
+#: tree of N = 1024 takes 19-36 kB at the default cutoff, 67-96 kB at 16.
 _MEMO_ENTRIES = 64
 
 

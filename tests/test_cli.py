@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from pqmul import BenchmarkRecord, MethodPlan, export_records, save_scenario
+from pqmul import (
+    DEFAULT_BASE_CUTOFF,
+    BenchmarkRecord,
+    MethodPlan,
+    export_records,
+    save_scenario,
+)
 from pqmul.cli import _parse_plan, main
 from pqmul.loadgen import usable_cpu_count
 from pqmul.simulator import MecNode, Scenario, run_simulation
@@ -133,11 +139,17 @@ class TestCountCheck:
 
     def test_honours_the_token_cutoff(self, capsys):
         # a cutoff above 1 stops the recursion at blocks of up to 16
-        assert main(["count-check", "--plan", "karatsuba",
+        assert main(["count-check", "--plan", "karatsuba:c16",
                      "--lengths", "256,1000"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "N=256 measured=20736 predicted=20736 ok",
             "N=1000 measured=186624 predicted=186624 ok"]
+
+    def test_workers_rejected(self, capsys):
+        # the check runs the sequential engine, so :wN would go unused
+        assert main(["count-check", "--plan", "toom3:w4",
+                     "--lengths", "64"]) == 2
+        assert ":wN" in capsys.readouterr().err
 
     def test_seed_and_modulus_rejected(self):
         # the counts follow from the lengths, so nothing random is exposed
@@ -235,8 +247,9 @@ class TestBenchDefaults:
         assert args.loaded_workers == 4
         assert args.modulus == 4096
         plans = [_parse_plan(tok) for tok in args.plans.split(",")]
+        c = DEFAULT_BASE_CUTOFF
         assert [(p.method, p.k, p.workers, p.base_cutoff) for p in plans] == \
-            [("karatsuba", 2, 1, 16), ("toom", 3, 1, 16), ("toom", 3, 5, 16)]
+            [("karatsuba", 2, 1, c), ("toom", 3, 1, c), ("toom", 3, 5, c)]
 
 
 class TestCalibrateSelect:
@@ -353,13 +366,15 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--rules", str(rules), "--records", str(records)]) == 2
 
+    LIVE_SCENARIO = Scenario(
+        mec_nodes=(MecNode(cores=1, load_trace=((0, 0),)),
+                   MecNode(cores=2, load_trace=((0, 50),))),
+        vehicles=3, handover_interval_ms=1_000.0, degree=32,
+        duration_ms=10_000.0, seed=4, policy_mode="fixed_plan",
+        fixed_plan=MethodPlan.karatsuba(base_cutoff=8))
+
     def test_live_timer_runs_fixed_plan(self, tmp_path):
-        scenario = Scenario(
-            mec_nodes=(MecNode(cores=1, load_trace=((0, 0),)),
-                       MecNode(cores=2, load_trace=((0, 50),))),
-            vehicles=3, handover_interval_ms=1_000.0, degree=32,
-            duration_ms=10_000.0, seed=4, policy_mode="fixed_plan",
-            fixed_plan=MethodPlan.karatsuba(base_cutoff=8))
+        scenario = self.LIVE_SCENARIO
         spath, out = tmp_path / "scenario.json", tmp_path / "report.json"
         save_scenario(scenario, spath)
         assert main(["simulate", "--scenario", str(spath), "--live",
@@ -375,6 +390,52 @@ class TestSimulate:
         assert live["total_handovers"] == model.total_handovers > 0
         assert [m["plan_counts"] for m in live["per_mec"]] == \
             [m.plan_counts for m in model.per_mec]
+
+    def test_live_modulus_defaults_to_4096(self, tmp_path, monkeypatch):
+        import pqmul.cli as cli_mod
+
+        seen = []
+
+        class Spy(cli_mod.LiveTimer):
+            def __init__(self, seed, modulus):
+                seen.append(modulus)
+                super().__init__(seed, modulus)
+
+        monkeypatch.setattr(cli_mod, "LiveTimer", Spy)
+        spath = tmp_path / "scenario.json"
+        save_scenario(self.LIVE_SCENARIO, spath)
+        argv = ["simulate", "--scenario", str(spath), "--live",
+                "--output", str(tmp_path / "report.txt")]
+        assert main(argv) == 0
+        assert main(argv + ["--modulus", "8192"]) == 0
+        assert seen == [4096, 8192]
+
+    def test_modulus_needs_live(self, tmp_path, capsys):
+        # the time model never multiplies, so a modulus would go unused
+        records, rules, spath = self.make_files(tmp_path)
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(spath), "--rules",
+                     str(rules), "--records", str(records),
+                     "--modulus", "4096"]) == 2
+        assert capsys.readouterr().err == \
+            "error: simulate --modulus needs --live\n"
+
+
+@pytest.mark.parametrize("modulus", ["1", "0"])
+@pytest.mark.parametrize("argv", [
+    "bench --degrees 16 --loads 0 --loaded-workers 0 --runs 1 "
+    "--plans karatsuba --out {tmp}/r.csv --modulus {m}",
+    "simulate --scenario {scenario} --live --modulus {m}",
+], ids=["bench", "simulate_live"])
+def test_modulus_below_2_exits_2(argv, modulus, tmp_path, capsys):
+    """The error names the flag the user set, not the coefficient bound
+    that the modulus also serves as."""
+    scenario = README.parent / "scenarios" / "mixed_load.json"
+    assert main(argv.format(tmp=tmp_path, scenario=scenario,
+                            m=modulus).split()) == 2
+    assert capsys.readouterr().err == \
+        f"error: modulus must be >= 2, got {modulus}\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("argv, name", [

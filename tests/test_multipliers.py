@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqmul import (
+    DEFAULT_BASE_CUTOFF,
     EVALUATION_POINTS,
     InternalArithmeticError,
     InvalidPlanError,
@@ -47,6 +48,9 @@ def reference_count(n: int, k: int, cutoff: int) -> int:
     if n <= cutoff:
         return n * n
     return (2 * k - 1) * reference_count(-(-n // k), k, cutoff)
+
+
+DEFAULT_PLANS = [MethodPlan.karatsuba(), MethodPlan.toom(3), MethodPlan.toom(4)]
 
 
 class TestMethodPlan:
@@ -180,7 +184,8 @@ class TestKaratsuba:
     def test_uneven_lengths_match_oracle(self):
         a = Polynomial.random(100, 1000, seed=21)
         b = Polynomial.random(37, 1000, seed=22)
-        assert multiply(a, b, MethodPlan.karatsuba()) == schoolbook_mul(a, b)
+        plan = MethodPlan.karatsuba(base_cutoff=16)
+        assert multiply(a, b, plan) == schoolbook_mul(a, b)
 
 
 class TestToomCook:
@@ -318,6 +323,14 @@ class TestRecursionDepth:
     def test_cutoff_clamps(self):
         assert recursion_depth(MethodPlan.karatsuba(base_cutoff=32), 16) == 0
 
+    @pytest.mark.parametrize("plan", DEFAULT_PLANS, ids=lambda p: p.label)
+    def test_default_plans_recurse_at_ntru_sizes(self, plan):
+        """At the default cutoff every method still splits N = 256 once and
+        the NTRU sizes at least twice, so Karatsuba and Toom-Cook differ."""
+        assert recursion_depth(plan, 256) >= 1
+        for n in (509, 677, 701, 821, 1024):
+            assert recursion_depth(plan, n) >= 2, n
+
 
 #: (fundamental_mults, fundamental_adds) at cutoff 16, as BENCH_6.json and
 #: BENCH_7.json report them for N = 256/512/768/1024, and for 70 x 1024.
@@ -362,11 +375,14 @@ class TestPinnedCounts:
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 
-PLANS = [MethodPlan.karatsuba(base_cutoff=1), MethodPlan.karatsuba(),
-         MethodPlan.toom(3, base_cutoff=1), MethodPlan.toom(3),
-         MethodPlan.toom(4, base_cutoff=1), MethodPlan.toom(4)]
+#: Cutoff 16, not the default, so that vectors of a few dozen coefficients
+#: still recurse.
+PLANS = [MethodPlan.karatsuba(base_cutoff=1),
+         MethodPlan.karatsuba(base_cutoff=16),
+         MethodPlan.toom(3, base_cutoff=1), MethodPlan.toom(3, base_cutoff=16),
+         MethodPlan.toom(4, base_cutoff=1), MethodPlan.toom(4, base_cutoff=16)]
 
-ENGINE_PLANS = [MethodPlan.karatsuba(), MethodPlan.toom(3), MethodPlan.toom(4)]
+ENGINE_PLANS = PLANS[1::2]
 
 
 @st.composite
@@ -435,7 +451,7 @@ class TestPackedVectors:
         q = 8192
         a = Polynomial([q - 1] * 1024, q)
         ref = schoolbook_mul(a, a)
-        for plan in ENGINE_PLANS:
+        for plan in ENGINE_PLANS + DEFAULT_PLANS:
             assert multiply(a, a, plan) == ref
 
     @pytest.mark.parametrize("plan", PLANS)
@@ -577,6 +593,13 @@ class TestSlotHeadroom:
     def test_widths_at_q_8192(self, k, widths):
         """The benchmark's sizes N = 256, 512, 768, 1024 at cutoff 16."""
         assert [_engine_bits(8191, 8191, n, k, 16)
+                for n in (256, 512, 768, 1024)] == widths
+
+    @pytest.mark.parametrize("k, widths", [
+        (2, [40, 48, 48, 48]), (3, [48, 48, 48, 56]), (4, [56, 72, 72, 72])])
+    def test_widths_at_q_8192_default_cutoff(self, k, widths):
+        """Fewer levels than at cutoff 16, so narrower slots."""
+        assert [_engine_bits(8191, 8191, n, k, DEFAULT_BASE_CUTOFF)
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("offset", [0, 1])

@@ -109,8 +109,10 @@ class TestSharedOperand:
         every call, so its evaluation memo hits; products and counts stay
         those of the sequential engine."""
         shared = Polynomial.random(300, 8192, seed=30, modulus=8192)
-        for plan in (MethodPlan.karatsuba(), MethodPlan.toom(3),
-                     MethodPlan.toom(4)):
+        # cutoff 16, so that the 70-coefficient operands recurse too
+        for plan in (MethodPlan.karatsuba(base_cutoff=16),
+                     MethodPlan.toom(3, base_cutoff=16),
+                     MethodPlan.toom(4, base_cutoff=16)):
             for seed, length in ((31, 300), (32, 300), (33, 70), (34, 70)):
                 b = Polynomial.random(length, 8192, seed=seed, modulus=8192)
                 seq_counter = OperationCounter()
