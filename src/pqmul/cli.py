@@ -229,9 +229,12 @@ def cmd_calibrate(args) -> int:
     table = calibrate(records, bands)
     save_rules(table, args.out)
     for e in table.entries:
+        wins = "".join(f" sequential_beats_karatsuba={lo:.1f}-{hi:.1f}%"
+                       for lo, hi in e.sequential_beats_karatsuba_pct)
         print(f"band [{e.degree_min}, {e.degree_max}]: "
               f"parallel_vs_karatsuba={e.threshold_parallel_vs_karatsuba_pct:.1f}% "
-              f"parallel_vs_sequential={e.threshold_parallel_vs_sequential_pct:.1f}%")
+              f"parallel_vs_sequential={e.threshold_parallel_vs_sequential_pct:.1f}%"
+              f"{wins}")
     print(f"wrote rules to {args.out}")
     return EXIT_OK
 
