@@ -23,8 +23,8 @@ from .multipliers import MethodPlan
 from .parallel import parallel_mul
 from .poly import Polynomial, _check_modulus, derive_seed
 
-#: Coefficient bound for generated operands when no modulus is given
-#: (matches the CLI's default modulus).
+#: Coefficient bound for generated operands when no modulus is given,
+#: and the CLI's default modulus.
 DEFAULT_COEFF_BOUND = 4096
 
 #: Untimed multiplications per cell before the timed runs.

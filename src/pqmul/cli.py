@@ -20,6 +20,7 @@ import sys
 import time
 
 from .bench import (
+    DEFAULT_COEFF_BOUND,
     BenchmarkSpec,
     aggregate,
     export_records,
@@ -229,12 +230,9 @@ def cmd_calibrate(args) -> int:
     table = calibrate(records, bands)
     save_rules(table, args.out)
     for e in table.entries:
-        wins = "".join(f" sequential_beats_karatsuba={lo:.1f}-{hi:.1f}%"
-                       for lo, hi in e.sequential_beats_karatsuba_pct)
         print(f"band [{e.degree_min}, {e.degree_max}]: "
               f"parallel_vs_karatsuba={e.threshold_parallel_vs_karatsuba_pct:.1f}% "
-              f"parallel_vs_sequential={e.threshold_parallel_vs_sequential_pct:.1f}%"
-              f"{wins}")
+              f"parallel_vs_sequential={e.threshold_parallel_vs_sequential_pct:.1f}%")
     print(f"wrote rules to {args.out}")
     return EXIT_OK
 
@@ -257,7 +255,8 @@ def cmd_simulate(args) -> int:
     if args.modulus is not None and not args.live:
         raise InvalidInputError("simulate --modulus needs --live")
     if args.live:
-        modulus = 4096 if args.modulus is None else args.modulus
+        modulus = (DEFAULT_COEFF_BOUND if args.modulus is None
+                   else args.modulus)
         model = LiveTimer(seed=scenario.seed, modulus=modulus)
     elif args.records:
         model = TimeModel.from_records(import_records(args.records))
@@ -316,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "else CSV")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed (default 0)")
-    p.add_argument("--modulus", type=int, default=4096,
-                   help="coefficient modulus q (default 4096)")
+    p.add_argument("--modulus", type=int, default=DEFAULT_COEFF_BOUND,
+                   help=f"coefficient modulus q (default {DEFAULT_COEFF_BOUND})")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("calibrate", help="build a rule table from records")
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario seed")
     p.add_argument("--modulus", type=int, default=None,
                    help="coefficient modulus q of the --live products "
-                        "(default 4096)")
+                        f"(default {DEFAULT_COEFF_BOUND})")
     p.set_defaults(func=cmd_simulate)
 
     return parser

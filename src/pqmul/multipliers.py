@@ -16,11 +16,15 @@ law; the cutoff trades formula exactness for wall-clock speed.  A leaf is
 one C-level big-int product, which CPython itself runs as Karatsuba on long
 operands, while every recursion node adds interpreter work (cutting,
 evaluating, interpolating, recomposing).  So DEFAULT_BASE_CUTOFF is a
-measured constant, as GMP's Toom thresholds are: of the cutoffs 16-127,
-swept over N = 256-1024 at q = 4096 and 8192, 127 ran the benchmark's
-product mix fastest, about 1.8x cutoff 16.  It stays below 128, so every
-method still splits N = 256 once and N >= 509 at least twice, and Karatsuba
-and Toom-Cook remain different computations.
+measured constant, as GMP's Toom thresholds are.  Swept over N = 256-1024
+at q = 4096 and 8192, cutoff 48 runs the benchmark's product mix about
+1.5x as fast as cutoff 16.  Cutoffs 64-127 run it faster still, but there
+sequential Toom-3 at N = 512 (two levels, leaves of 57) comes within about
+10 % of Karatsuba (leaves of 64), so load noise makes it the faster
+sequential plan, which the selector never picks.  At 48 it splits N = 512
+three times and stays about 1.4x slower than Karatsuba.  Every method still
+splits N = 256 at least twice, so Karatsuba and Toom-Cook remain different
+computations.
 
 Interpolation is done entirely over the integers: every division in the
 back-substitution below is exact for any integer inputs, so modular operands
@@ -74,7 +78,7 @@ derived per product from the operands (never from a setting).  So every
 value fits its slot (4 V, 8 V, 2^11 V <= 2^(s-1)) and every correct
 quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).  At
 q = 2^13, the default cutoff and N = 256, 512, 768, 1024 that is
-40/48/48/48 bits for Karatsuba, 48/48/48/56 for Toom-3 and 56/72/72/72 for
+40/48/48/48 bits for Karatsuba, 48/56/56/56 for Toom-3 and 72/72/72/80 for
 Toom-4 (at cutoff 16, with more levels: 48, 56/56/56/64 and 72/80/80/80).
 
 Division guard.  A zero remainder of divmod(X, d) does not mean that d
@@ -145,7 +149,7 @@ METHODS = (SCHOOLBOOK, KARATSUBA, TOOMCOOK)
 #: Base-case length at/below which recursion falls back to one big-int
 #: product; measured, see the module docstring.  Cutoff 1 gives the
 #: textbook counts.
-DEFAULT_BASE_CUTOFF = 127
+DEFAULT_BASE_CUTOFF = 48
 
 #: Evaluation points per splitting factor (math.inf marks the leading part).
 EVALUATION_POINTS = {
@@ -564,7 +568,7 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
 
 #: Evaluation trees _leaves keeps, one per operand or block: a long operand
 #: shared across a batch stays in the memo while its blocks + 1 <= 64.  One
-#: tree of N = 1024 takes 19-36 kB at the default cutoff, 67-96 kB at 16.
+#: tree of N = 1024 takes 39-67 kB at the default cutoff, 67-96 kB at 16.
 _MEMO_ENTRIES = 64
 
 

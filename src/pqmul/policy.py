@@ -3,13 +3,11 @@
 Calibration turns benchmark records into per-degree-band load thresholds:
 the load at which sequential Karatsuba's mean time first beats parallel
 Toom-Cook's (linear interpolation between sampled loads), and likewise for
-sequential Toom-Cook vs its parallel variant, plus the load intervals in
-which sequential Toom-Cook's mean time beats Karatsuba's.  Selection is then
-a pure table lookup: parallel Toom-Cook below the first threshold, above it
-the faster sequential plan for the load, and Karatsuba unconditionally on a
-single core.  The two sequential plans can be close (at cutoff 127 and
-N = 512 within about 10 %), so which one is faster at a load is measured,
-not assumed.
+sequential Toom-Cook vs its parallel variant.  Selection is then a pure
+table lookup: parallel Toom-Cook below the first threshold, Karatsuba above
+it, and Karatsuba unconditionally on a single core.  Sequential Toom-Cook is
+calibrated and reported but never selected - at one worker it is dominated
+by Karatsuba.
 
 The rule file is JSON (schema in save_rules) and survives save -> load ->
 save byte-identically.
@@ -70,9 +68,6 @@ class RuleEntry:
     parallel_plan: MethodPlan
     karatsuba_plan: MethodPlan
     sequential_plan: MethodPlan
-    #: Closed load intervals (min, max) in which sequential Toom-Cook's mean
-    #: time beats sequential Karatsuba's; empty if it never does.
-    sequential_beats_karatsuba_pct: tuple[tuple[float, float], ...] = ()
 
     def covers(self, degree: int) -> bool:
         return self.degree_min <= degree <= self.degree_max
@@ -119,14 +114,6 @@ class RuleTable:
                 raise RuleTableError(
                     f"{where}.thresholds: parallel loses to Karatsuba at {pk} "
                     f"but to sequential Toom-Cook already at {ps}")
-            low = 0.0
-            for j, (lo, hi) in enumerate(e.sequential_beats_karatsuba_pct):
-                if not low <= lo < hi <= 100:
-                    raise RuleTableError(
-                        f"{where}.sequential_beats_karatsuba_pct[{j}]: "
-                        f"[{lo}, {hi}] is empty, outside [0, 100] or "
-                        f"overlaps or is out of order with the one before")
-                low = hi
             if e.min_cores < 1:
                 raise RuleTableError(f"{where}.min_cores: must be >= 1")
             if e.parallel_plan.workers < 2:
@@ -176,32 +163,6 @@ def _first_crossover(loads: list[int], parallel: dict[int, float],
             frac = diffs[i - 1] / (diffs[i - 1] - diffs[i])
             return lo + frac * (hi - lo)
     return 100.0
-
-
-def _win_intervals(loads: list[int], base: dict[int, float],
-                   rival: dict[int, float]) -> tuple[tuple[float, float], ...]:
-    """The load intervals in which the rival's mean time beats the base's.
-
-    Both curves are linear between adjacent sampled loads, so each segment
-    holds at most one crossing, found by linear interpolation.  An interval
-    still open at the last sampled load runs to 100, where TimeModel clamps.
-    """
-    diffs = [base[l] - rival[l] for l in loads]  # > 0: rival wins
-    intervals = []
-    start = float(loads[0]) if diffs[0] > 0 else None
-    for i in range(1, len(loads)):
-        if (diffs[i - 1] > 0) == (diffs[i] > 0):
-            continue
-        lo, hi = loads[i - 1], loads[i]
-        cross = lo + diffs[i - 1] / (diffs[i - 1] - diffs[i]) * (hi - lo)
-        if start is None:
-            start = cross
-        else:
-            intervals.append((start, cross))
-            start = None
-    if start is not None:
-        intervals.append((start, 100.0))
-    return tuple(intervals)
 
 
 def calibrate(records: list[BenchmarkRecord],
@@ -270,9 +231,7 @@ def calibrate(records: list[BenchmarkRecord],
                 common, curves["parallel"], curves["sequential"]),
             parallel_plan=roles["parallel"]["plan"],
             karatsuba_plan=roles["karatsuba"]["plan"],
-            sequential_plan=roles["sequential"]["plan"],
-            sequential_beats_karatsuba_pct=_win_intervals(
-                common, curves["karatsuba"], curves["sequential"])))
+            sequential_plan=roles["sequential"]["plan"]))
         karatsuba_plan_global = karatsuba_plan_global or roles["karatsuba"]["plan"]
     try:
         return RuleTable(entries=tuple(entries),
@@ -291,31 +250,28 @@ def select_method(table: RuleTable, state: SystemState,
 
     One available core always means sequential Karatsuba.  Otherwise, within
     the matching degree band: parallel Toom-Cook below the
-    parallel-vs-Karatsuba threshold; at or above it, and with too few cores
-    for the parallel plan, sequential Toom-Cook in the load intervals where
-    calibration measured it faster than Karatsuba, else Karatsuba.  Passing
-    the previously selected plan widens the threshold by HYSTERESIS_PCT in
-    its favor so a load hovering at the boundary does not flap.
+    parallel-vs-Karatsuba threshold, Karatsuba at or above it.  Sequential
+    Toom-Cook is never selected.  Passing the previously selected plan
+    widens the threshold by HYSTERESIS_PCT in its favor so a load hovering
+    at the boundary does not flap.
     """
     if state.available_cores == 1:
         return table.default_plan
     entry = table.entry_for(state.degree)
     if entry is None:
         return table.default_plan
-    load = state.load_pct
-    if state.available_cores >= entry.min_cores:
-        threshold = entry.threshold_parallel_vs_karatsuba_pct
-        if previous is not None:
-            if previous == entry.parallel_plan:
-                threshold += HYSTERESIS_PCT
-            elif previous in (entry.karatsuba_plan, entry.sequential_plan):
-                threshold -= HYSTERESIS_PCT
-        if load < threshold:
-            return entry.parallel_plan
-    for lo, hi in entry.sequential_beats_karatsuba_pct:
-        if lo <= load <= hi:
-            return entry.sequential_plan
-    return entry.karatsuba_plan
+    if state.available_cores < entry.min_cores:
+        return entry.karatsuba_plan
+
+    threshold = entry.threshold_parallel_vs_karatsuba_pct
+    if previous is not None:
+        if previous == entry.parallel_plan:
+            threshold += HYSTERESIS_PCT
+        elif previous == entry.karatsuba_plan:
+            threshold -= HYSTERESIS_PCT
+    if state.load_pct >= threshold:
+        return entry.karatsuba_plan
+    return entry.parallel_plan
 
 
 class TimeModel:
@@ -358,7 +314,7 @@ class TimeModel:
 # ---------------------------------------------------------------------------
 
 def _entry_to_dict(e: RuleEntry) -> dict:
-    out = {
+    return {
         "degree_band": {"min": e.degree_min, "max": e.degree_max},
         "min_cores": e.min_cores,
         "thresholds": {
@@ -371,13 +327,6 @@ def _entry_to_dict(e: RuleEntry) -> dict:
             "sequential": e.sequential_plan.as_dict(),
         },
     }
-    # absent when Karatsuba is the faster sequential plan at every load, so
-    # such tables keep the bytes they had before the field existed
-    if e.sequential_beats_karatsuba_pct:
-        out["sequential_beats_karatsuba_pct"] = [
-            {"min": lo, "max": hi}
-            for lo, hi in e.sequential_beats_karatsuba_pct]
-    return out
 
 
 def table_to_dict(table: RuleTable) -> dict:
@@ -440,13 +389,6 @@ def table_from_dict(data: dict) -> RuleTable:
         band = _need(raw, "degree_band", dict, ew)
         thresholds = _need(raw, "thresholds", dict, ew)
         plans = _need(raw, "plans", dict, ew)
-        wins = []
-        if "sequential_beats_karatsuba_pct" in raw:
-            for j, interval in enumerate(_need(
-                    raw, "sequential_beats_karatsuba_pct", list, ew)):
-                iw = f"{ew}.sequential_beats_karatsuba_pct[{j}]"
-                wins.append((_need(interval, "min", float, iw),
-                             _need(interval, "max", float, iw)))
         entries.append(RuleEntry(
             degree_min=_need(band, "min", int, f"{ew}.degree_band"),
             degree_max=_need(band, "max", int, f"{ew}.degree_band"),
@@ -459,8 +401,7 @@ def table_from_dict(data: dict) -> RuleTable:
                 f"{ew}.thresholds"),
             parallel_plan=_plan_at(plans, "parallel", f"{ew}.plans"),
             karatsuba_plan=_plan_at(plans, "karatsuba", f"{ew}.plans"),
-            sequential_plan=_plan_at(plans, "sequential", f"{ew}.plans"),
-            sequential_beats_karatsuba_pct=tuple(wins)))
+            sequential_plan=_plan_at(plans, "sequential", f"{ew}.plans")))
     return RuleTable(entries=tuple(entries), default_plan=default_plan)
 
 

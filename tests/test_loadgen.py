@@ -138,12 +138,7 @@ class TestMonotonicity:
             pytest.skip("needs >= 2 cores (or PQMUL_PERF=1)")
         a = Polynomial.random(512, 4096, seed=3, modulus=4096)
         b = Polynomial.random(512, 4096, seed=4, modulus=4096)
-        # cutoff 16, the workload this test was written for: below the
-        # split each worker recurses three more levels.  At the default
-        # cutoff a worker recurses once, pool round trips dominate the
-        # product, and 80 % load came out no slower than 40 % more often
-        # (in 10 of 36 paired probe runs, against 3 of 36 at cutoff 16)
-        plan = MethodPlan.toom(3, workers=2, base_cutoff=16)
+        plan = MethodPlan.toom(3, workers=2)
         workers = min(4, usable_cpu_count() - 1)
 
         def mean_under(load_pct, runs=8):

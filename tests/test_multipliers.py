@@ -596,7 +596,7 @@ class TestSlotHeadroom:
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 48, 48, 48]), (3, [48, 48, 48, 56]), (4, [56, 72, 72, 72])])
+        (2, [40, 48, 48, 48]), (3, [48, 56, 56, 56]), (4, [72, 72, 72, 80])])
     def test_widths_at_q_8192_default_cutoff(self, k, widths):
         """Fewer levels than at cutoff 16, so narrower slots."""
         assert [_engine_bits(8191, 8191, n, k, DEFAULT_BASE_CUTOFF)

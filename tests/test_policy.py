@@ -103,23 +103,6 @@ class TestCalibrate:
         assert entry.threshold_parallel_vs_karatsuba_pct == pytest.approx(5.0)
         assert entry.threshold_parallel_vs_sequential_pct == pytest.approx(60.0)
 
-    def test_sequential_win_intervals_exact(self):
-        # Karatsuba flat at 10 ms; sequential Toom-Cook at 12 or 8 ms, so it
-        # wins from 5 to 25 and from 45 on (open at the sweep's end: to 100)
-        seq = {0: 12e6, 10: 8e6, 20: 8e6, 30: 12e6, 40: 12e6, 50: 8e6}
-        curves = linear_curves(LOADS, par_base=20e6, par_slope=0.0)
-        curves[KARATSUBA] = {l: 10e6 for l in LOADS}
-        curves[TOOM_SEQ] = seq
-        (entry,) = calibrate(records_from_curves(curves),
-                             [(512, 512)]).entries
-        assert entry.sequential_beats_karatsuba_pct == ((5.0, 25.0),
-                                                        (45.0, 100.0))
-
-    def test_karatsuba_faster_everywhere_gives_no_intervals(self):
-        (entry,) = calibrate(records_from_curves(linear_curves(LOADS)),
-                             [(512, 512)]).entries
-        assert entry.sequential_beats_karatsuba_pct == ()
-
     def test_missing_plan_role(self):
         curves = linear_curves(LOADS)
         del curves[TOOM_SEQ]
@@ -213,15 +196,6 @@ class TestRuleTableValidation:
         make_table([make_entry(threshold_parallel_vs_karatsuba_pct=100.0,
                                threshold_parallel_vs_sequential_pct=30.0)])
 
-    @pytest.mark.parametrize("intervals", [
-        ((30.0, 20.0),), ((-1.0, 10.0),), ((90.0, 101.0),),
-        ((10.0, 40.0), (30.0, 50.0)), ((50.0, 60.0), (10.0, 20.0))])
-    def test_sequential_intervals_ordered_inside_range(self, intervals):
-        from pqmul import RuleTableError
-        with pytest.raises(RuleTableError,
-                           match="sequential_beats_karatsuba_pct"):
-            make_table([make_entry(sequential_beats_karatsuba_pct=intervals)])
-
     def test_plan_roles_enforced(self):
         from pqmul import RuleTableError
         with pytest.raises(RuleTableError, match="parallel"):
@@ -265,19 +239,6 @@ class TestSelectMethod:
         plan = select_method(make_table(), SystemState(512, 0, 3))
         assert plan == KARATSUBA
 
-    def test_faster_sequential_plan_by_load(self):
-        table = make_table([make_entry(
-            sequential_beats_karatsuba_pct=((40.0, 60.0),))])
-        picks = {load: select_method(table, SystemState(512, load, 5))
-                 for load in (10, 30, 40, 50, 60, 61)}
-        assert picks == {10: TOOM_PAR, 30: KARATSUBA, 40: TOOM_SEQ,
-                         50: TOOM_SEQ, 60: TOOM_SEQ, 61: KARATSUBA}
-        # too few cores for the parallel plan: the faster sequential plan
-        assert select_method(table, SystemState(512, 10, 3)) == KARATSUBA
-        assert select_method(table, SystemState(512, 50, 3)) == TOOM_SEQ
-        # a single core stays on Karatsuba
-        assert select_method(table, SystemState(512, 50, 1)) == KARATSUBA
-
     def test_deterministic(self):
         table = make_table()
         state = SystemState(512, 24.9, 5)
@@ -298,13 +259,6 @@ class TestSelectMethod:
         state = SystemState(512, 23, 5)
         assert select_method(table, state) == TOOM_PAR
         assert select_method(table, state, previous=KARATSUBA) == KARATSUBA
-
-    def test_hysteresis_holds_previous_sequential_toom_cook(self):
-        table = make_table([make_entry(
-            sequential_beats_karatsuba_pct=((0.0, 100.0),))])
-        state = SystemState(512, 23, 5)
-        assert select_method(table, state) == TOOM_PAR
-        assert select_method(table, state, previous=TOOM_SEQ) == TOOM_SEQ
 
     @pytest.mark.parametrize("previous, flip_at", [
         (TOOM_PAR, 25.0 + HYSTERESIS_PCT),
@@ -375,24 +329,6 @@ class TestRegret:
             assert chosen_t <= best_t * 1.10
 
 
-    def test_no_regret_where_sequential_toom_cook_wins(self):
-        """Sequential Toom-Cook within noise of Karatsuba, each ahead at
-        some loads: the selection is the fastest plan at every sampled
-        load and no fixed plan is faster."""
-        rng = random.Random(5)
-        for _ in range(20):
-            curves = linear_curves(LOADS, par_base=20e6, par_slope=0.0)
-            curves[TOOM_SEQ] = {l: curves[KARATSUBA][l] * rng.uniform(0.8, 1.2)
-                                for l in LOADS}
-            records = records_from_curves(curves)
-            table = calibrate(records, [(512, 512)])
-            model = TimeModel.from_records(records)
-            for load in range(0, 101, 5):
-                chosen = select_method(table, SystemState(512, load, 5))
-                assert model.predict(chosen, 512, load) == min(
-                    model.predict(p, 512, load) for p in curves)
-
-
 class TestPersistence:
     def test_round_trip_equal_and_byte_identical(self, tmp_path):
         table = calibrate(records_from_curves(linear_curves(LOADS)),
@@ -404,43 +340,6 @@ class TestPersistence:
         save_rules(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_sequential_intervals_round_trip(self, tmp_path):
-        table = make_table([make_entry(
-            sequential_beats_karatsuba_pct=((5.0, 25.0), (45.0, 100.0)))])
-        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        save_rules(table, p1)
-        assert json.loads(p1.read_text())["entries"][0][
-            "sequential_beats_karatsuba_pct"] == [
-                {"min": 5.0, "max": 25.0}, {"min": 45.0, "max": 100.0}]
-        loaded = load_rules(p1)
-        assert loaded == table
-        save_rules(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_calibrated_intervals_from_load_0_round_trip(self, tmp_path):
-        # sequential Toom-Cook faster from the first sampled load on: the
-        # interval starts at the integer load 0 and is written as 0.0
-        curves = linear_curves(LOADS, seq_base=9e6, par_base=20e6,
-                               par_slope=0.0)
-        table = calibrate(records_from_curves(curves), [(512, 512)])
-        assert table.entries[0].sequential_beats_karatsuba_pct == \
-            ((0.0, 100.0),)
-        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        save_rules(table, p1)
-        save_rules(load_rules(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_sequential_interval_named(self, tmp_path):
-        from pqmul import RuleTableError
-        path = tmp_path / "rules.json"
-        data = table_to_dict(make_table())
-        data["entries"][0]["sequential_beats_karatsuba_pct"] = [
-            {"min": 5.0, "max": "x"}]
-        path.write_text(json.dumps(data))
-        with pytest.raises(RuleTableError, match=r"entries\[0\]"
-                           r"\.sequential_beats_karatsuba_pct\[0\]\.max"):
-            load_rules(path)
-
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "rules.json"
         save_rules(make_table(), path)
@@ -451,9 +350,6 @@ class TestPersistence:
         assert set(entry["thresholds"]) == {"parallel_vs_karatsuba_pct",
                                             "parallel_vs_sequential_pct"}
         assert set(entry["plans"]) == {"parallel", "karatsuba", "sequential"}
-        # no sequential intervals: the key is left out
-        assert set(entry) == {"degree_band", "min_cores", "thresholds",
-                              "plans"}
         assert set(entry["plans"]["parallel"]) == {"method", "k", "workers",
                                                    "base_cutoff"}
 
