@@ -2,12 +2,12 @@
 
 The pieces, bottom up: dense integer polynomials and the schoolbook oracle
 (poly), Karatsuba/Toom-Cook recursive multipliers with exact operation-count
-predictors (multipliers), process-parallel execution of the independent
-subproducts (parallel), a synthetic duty-cycle CPU load generator (loadgen),
-a Monte Carlo timing harness (bench), rule-table calibration and method
-selection (policy), and a handover simulator that exercises the decision
-loop end to end (simulator).  `pqmul` on the command line wires them
-together.
+predictors, which run a plan's independent top-level subproducts on its
+worker processes (multipliers), the worker-process pool (parallel), a
+synthetic duty-cycle CPU load generator (loadgen), a Monte Carlo timing
+harness (bench), rule-table calibration and method selection (policy), and
+a handover simulator that exercises the decision loop end to end
+(simulator).  `pqmul` on the command line wires them together.
 """
 
 from .bench import (
@@ -38,16 +38,16 @@ from .errors import (
 from .loadgen import LoadHandle, LoadProfile, measure_achieved_load, start_load, stop_load
 from .multipliers import (
     DEFAULT_BASE_CUTOFF,
-    EVALUATION_POINTS,
     MethodPlan,
     evaluate_parts,
     interpolate,
     multiply,
+    parallel_mul,
     predicted_mult_count,
     recursion_depth,
     split,
 )
-from .parallel import parallel_mul, shutdown_pools
+from .parallel import shutdown_pools
 from .policy import (
     RuleEntry,
     RuleTable,

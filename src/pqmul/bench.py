@@ -19,9 +19,8 @@ from dataclasses import astuple, dataclass, fields
 
 from .errors import CapacityError, InvalidInputError, TimerResolutionError
 from .loadgen import LoadProfile, start_load, usable_cpu_count
-from .multipliers import MethodPlan
-from .parallel import parallel_mul
-from .poly import Polynomial, _check_modulus, derive_seed
+from .multipliers import MethodPlan, multiply
+from .poly import OperationCounter, Polynomial, _check_modulus, derive_seed
 
 #: Coefficient bound for generated operands when no modulus is given,
 #: and the CLI's default modulus.
@@ -134,8 +133,9 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
                             spec.seed, di, li, pi, run, 0), spec.modulus)
                         b = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, run, 1), spec.modulus)
+                        counter = OperationCounter()
                         t0 = time.perf_counter_ns()
-                        _, counter = parallel_mul(a, b, plan)
+                        multiply(a, b, plan, counter)
                         elapsed = time.perf_counter_ns() - t0
                         if run < 0:
                             continue

@@ -44,7 +44,6 @@ from .multipliers import (
     multiply,
     predicted_mult_count,
 )
-from .parallel import parallel_mul
 from .policy import TimeModel, calibrate, load_rules, save_rules, select_method
 from .policy import SystemState
 from .poly import (
@@ -147,7 +146,7 @@ class LiveTimer:
         a = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 0), q)
         b = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 1), q)
         t0 = time.perf_counter_ns()
-        parallel_mul(a, b, plan)
+        multiply(a, b, plan)
         return float(time.perf_counter_ns() - t0)
 
 
@@ -159,7 +158,8 @@ def cmd_multiply(args) -> int:
     plan = _parse_plan(args.plan)
     a = _parse_poly(args.a, args.modulus)
     b = _parse_poly(args.b, args.modulus)
-    result, counter = parallel_mul(a, b, plan)
+    counter = OperationCounter()
+    result = multiply(a, b, plan, counter)
     reference = schoolbook_mul(a, b)
     if result != reference:
         print(f"self-check failure: {plan.label} disagrees with schoolbook",

@@ -123,21 +123,23 @@ lengths
 
 and equal lengths are one block.  Every product, sequential or parallel,
 goes through the one entry point _engine_mul; only the pair runner it is
-given decides where the pairs run (parallel_mul's pool runner splits
-their top level across worker processes).
+given decides where the pairs run.  multiply gives it _run_pairs for a
+sequential plan, and _run_on_pool for a plan with workers > 1: that
+evaluates the top level of every block in the parent, has the pool of
+parallel run the subpairs, and interpolates the top level.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import InternalArithmeticError, InvalidInputError, InvalidPlanError
+from .parallel import run_round_robin
 from .poly import OperationCounter, Polynomial, schoolbook_mul
 
 SCHOOLBOOK = "schoolbook"
@@ -150,13 +152,6 @@ METHODS = (SCHOOLBOOK, KARATSUBA, TOOMCOOK)
 #: product; measured, see the module docstring.  Cutoff 1 gives the
 #: textbook counts.
 DEFAULT_BASE_CUTOFF = 48
-
-#: Evaluation points per splitting factor (math.inf marks the leading part).
-EVALUATION_POINTS = {
-    2: (0, 1, math.inf),
-    3: (0, 1, -1, 2, math.inf),
-    4: (0, 1, -1, 2, -2, 3, math.inf),
-}
 
 
 @dataclass(frozen=True)
@@ -451,11 +446,11 @@ def _max_abs(vectors) -> int:
 
 
 def evaluate_parts(parts: list[list[int]], k: int) -> list[list[int]]:
-    """Evaluate k part vectors at the 2k-1 points of EVALUATION_POINTS[k].
+    """Evaluate k part vectors at the 2k-1 points of k, in the order of the
+    module docstring's table.
 
-    Output order matches the point order; each output is a small-integer
-    linear combination of the parts (points 0 and inf are p0 and p_{k-1}
-    verbatim).
+    Each output is a small-integer linear combination of the parts (points
+    0 and inf are p0 and p_{k-1} verbatim).
     """
     if len(parts) != k:
         raise InvalidInputError(f"expected {k} parts, got {len(parts)}")
@@ -470,10 +465,10 @@ def interpolate(pointwise_products: list[list[int]],
                 k: int) -> list[list[int]]:
     """Recover the 2k-1 result-coefficient slices from pointwise products.
 
-    Solves the evaluation system of EVALUATION_POINTS[k] exactly over the
-    integers; the product is the sum of slice i times x^(i*part_len).  A
-    nonzero remainder in any division is an implementation defect and
-    raises.
+    Solves the evaluation system of k's points (the module docstring's
+    table) exactly over the integers; the product is the sum of slice i
+    times x^(i*part_len).  A nonzero remainder in any division is an
+    implementation defect and raises.
     """
     if len(pointwise_products) != 2 * k - 1:
         raise InvalidInputError(
@@ -593,8 +588,8 @@ def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
     in s-bit slots.
 
     Looks up the leaf operands of both vectors of every pair, multiplies
-    them pairwise and interpolates up level by level.  parallel_mul's pool
-    runner runs it on each worker's share of the top-level subpairs.
+    them pairwise and interpolates up level by level.  _run_on_pool runs
+    it on each worker's share of the top-level subpairs.
     """
     levels = _levels(n, k, cutoff, s)
     xs, ys = zip(*pairs)
@@ -628,26 +623,62 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     pairs = [(_pack(long[i:i + ls], s), y) for i in range(0, len(long), ls)]
     products = run_pairs(pairs, k, cutoff, ls, s)
     mults, adds = _tree_counts(ls, k, cutoff)
-    counter.add_mults(len(pairs) * mults)
-    counter.add_adds(len(pairs) * adds + (len(pairs) - 1) * (ls - 1))
+    counter.fundamental_mults += len(pairs) * mults
+    counter.fundamental_adds += len(pairs) * adds + (len(pairs) - 1) * (ls - 1)
     out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
     return Polynomial(out, a.modulus)
 
 
+def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):
+    """The engine's pair runner on the workers-process pool.
+
+    The pairs are packed ints of n slots of s bits, and all of them share
+    their second vector.  Above the cutoff the parent cuts and evaluates the
+    top level of every first vector, and of the shared second one once;
+    run_round_robin has worker w multiply subpairs w, w+workers,
+    w+2*workers, ... in one batch, and the parent interpolates the top
+    level.  Returns the products in pair order.
+    """
+    top = _levels(n, k, cutoff, s)[:1]
+    if top:
+        ys = _evaluate_level([pairs[0][1]], top[0])
+        xs = _evaluate_level([x for x, _ in pairs], top[0])
+        subpairs = list(zip(xs, ys * len(pairs)))
+        m = -(-n // k)
+    else:
+        subpairs, m = pairs, n
+    products = run_round_robin(workers, _run_pairs, subpairs, k, cutoff, m, s)
+    return _interpolate_levels(products, top)
+
+
 def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,
              counter: OperationCounter | None = None) -> Polynomial:
-    """Multiply with whichever method the plan names (sequential path).
+    """Multiply with the method the plan names, on plan.workers processes.
 
     Karatsuba (k = 2) and Toom-Cook (k = 3, 4) make 2k-1 subproducts per
     split: with base_cutoff = 1 and both lengths N = k^m the counter grows
-    by exactly (2k-1)^m fundamental multiplications.  The result always
-    equals schoolbook_mul(a, b).
+    by exactly (2k-1)^m fundamental multiplications.  With workers > 1 the
+    top-level subproducts run on the worker pool; schoolbook plans always
+    run in-process.  The result always equals schoolbook_mul(a, b), and the
+    result and counts are the same for every worker count and scheduling.
+    Pool creation failure, or a pool that breaks again after one rebuild,
+    raises ResourceError; neither is silently downgraded to sequential.
     """
     if counter is None:
         counter = OperationCounter()
     if plan.method == SCHOOLBOOK:
         return schoolbook_mul(a, b, counter)
-    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter)
+    run_pairs = _run_pairs if plan.workers == 1 else \
+        partial(_run_on_pool, plan.workers)
+    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter, run_pairs)
+
+
+def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan
+                 ) -> tuple[Polynomial, OperationCounter]:
+    """multiply(a, b, plan) with a fresh counter, returned beside the
+    product."""
+    counter = OperationCounter()
+    return multiply(a, b, plan, counter), counter
 
 
 def predicted_mult_count(plan: MethodPlan, n: int) -> int:

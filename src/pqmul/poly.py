@@ -14,11 +14,13 @@ fundamental coefficient multiplications.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from operator import add as _add
 
 from .errors import InvalidInputError, RingMismatchError
 
 
+@dataclass(slots=True)
 class OperationCounter:
     """Tally of fundamental coefficient operations during multiplication.
 
@@ -33,27 +35,8 @@ class OperationCounter:
     adds each recursion node's count from the node's shape.
     """
 
-    __slots__ = ("fundamental_mults", "fundamental_adds")
-
-    def __init__(self):
-        self.fundamental_mults = 0
-        self.fundamental_adds = 0
-
-    def add_mults(self, n: int = 1) -> None:
-        self.fundamental_mults += n
-
-    def add_adds(self, n: int = 1) -> None:
-        self.fundamental_adds += n
-
-    def __eq__(self, other):
-        if not isinstance(other, OperationCounter):
-            return NotImplemented
-        return (self.fundamental_mults == other.fundamental_mults
-                and self.fundamental_adds == other.fundamental_adds)
-
-    def __repr__(self):
-        return (f"OperationCounter(mults={self.fundamental_mults}, "
-                f"adds={self.fundamental_adds})")
+    fundamental_mults: int = 0
+    fundamental_adds: int = 0
 
 
 def _check_modulus(modulus: int) -> None:
@@ -177,8 +160,8 @@ def _schoolbook_coeffs(a: list[int], b: list[int],
     for i, ai in enumerate(a):
         # row accumulate via map: measurably faster than an indexed loop
         out[i:i + lb] = map(_add, out[i:i + lb], map(ai.__mul__, b))
-    counter.add_mults(la * lb)
-    counter.add_adds(la * lb - (la + lb - 1))
+    counter.fundamental_mults += la * lb
+    counter.fundamental_adds += la * lb - (la + lb - 1)
     return out
 
 

@@ -110,11 +110,10 @@ class TestMultiply:
 
     def test_method_disagreement_exits_3(self, monkeypatch, capsys):
         import pqmul.cli as cli_mod
-        from pqmul import OperationCounter, Polynomial
+        from pqmul import Polynomial
 
-        monkeypatch.setattr(cli_mod, "parallel_mul",
-                            lambda a, b, plan: (Polynomial([999]),
-                                                OperationCounter()))
+        monkeypatch.setattr(cli_mod, "multiply",
+                            lambda a, b, plan, counter: Polynomial([999]))
         assert main(["multiply", "--plan", "karatsuba",
                      "--a", "3,4", "--b", "1,2"]) == 3
         assert "self-check" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from pqmul import (
     DEFAULT_BASE_CUTOFF,
-    EVALUATION_POINTS,
     InternalArithmeticError,
     InvalidPlanError,
     MethodPlan,
@@ -121,13 +120,13 @@ class TestEvaluateParts:
         for k in (2, 3, 4):
             parts = [[1]] * k
             assert len(evaluate_parts(parts, k)) == 2 * k - 1
-            assert len(EVALUATION_POINTS[k]) == 2 * k - 1
 
     def test_linear_combination_at_two(self):
-        # p(2) with parts p0, p1, p2 is p0 + 2 p1 + 4 p2
+        # p(2) with parts p0, p1, p2 is p0 + 2 p1 + 4 p2; k = 3 evaluates
+        # at (0, 1, -1, 2, inf), so p(2) is index 3
         parts = [[1], [1], [1]]
         evals = evaluate_parts(parts, 3)
-        assert evals[EVALUATION_POINTS[3].index(2)] == [7]
+        assert evals[3] == [7]
 
 
 class TestInterpolate:

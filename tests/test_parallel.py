@@ -272,3 +272,66 @@ class TestUnequalLengths:
         got, counter = parallel_mul(a, b, replace(plan, workers=workers))
         assert got == seq
         assert counter == seq_counter
+
+
+class TestMultiplyUsesPool:
+    def test_multiply_honours_workers(self, monkeypatch):
+        """multiply itself runs a workers > 1 plan on the pool, with the
+        product and counts of the workers = 1 run."""
+        batches = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def submit(self, fn, pairs, *args):
+                batches.append(pairs)
+                future = Future()
+                future.set_result(fn(pairs, *args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(pqmul.parallel, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(pqmul.parallel, "_pools", {})
+        a = Polynomial.random(90, 4096, seed=40, modulus=4096)
+        b = Polynomial.random(90, 4096, seed=41, modulus=4096)
+        plan = MethodPlan.toom(3, base_cutoff=8)
+        seq_counter = OperationCounter()
+        seq = multiply(a, b, plan, seq_counter)
+        assert batches == []
+        counter = OperationCounter()
+        got = multiply(a, b, replace(plan, workers=2), counter)
+        assert len(batches) == min(2, 2 * plan.k - 1)
+        assert got == seq
+        assert counter == seq_counter
+
+
+class TestPoolCeiling:
+    """A worker count above the ceiling is refused before any pool is
+    built: the pool constructor here fails the test if it is called."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def construct(*args, **kwargs):
+            pytest.fail("a worker pool was constructed")
+
+        monkeypatch.setattr(pqmul.parallel, "ProcessPoolExecutor", construct)
+        monkeypatch.setattr(pqmul.parallel, "_pools", {})
+
+    def test_multiply_raises_resource_error(self):
+        a = Polynomial.random(90, 4096, seed=42)
+        b = Polynomial.random(90, 4096, seed=43)
+        plan = MethodPlan.toom(3, workers=pqmul.parallel.MAX_WORKERS + 1)
+        with pytest.raises(ResourceError, match="ceiling of 64"):
+            multiply(a, b, plan)
+
+    def test_cli_exits_4(self, capsys):
+        from pqmul.cli import main
+
+        coeffs = ",".join(["1"] * 90)
+        assert main(["multiply", "--plan", "toom3:w65",
+                     "--a", coeffs, "--b", coeffs]) == 4
+        assert "ceiling of 64" in capsys.readouterr().err
