@@ -603,7 +603,7 @@ def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
 
 
 def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
-                counter: OperationCounter, run_pairs=_run_pairs) -> Polynomial:
+                counter: OperationCounter, run_pairs) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
     Packs the shorter operand and each block of the longer one once, hands
