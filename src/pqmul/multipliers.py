@@ -30,28 +30,44 @@ Interpolation is done entirely over the integers: every division in the
 back-substitution below is exact for any integer inputs, so modular operands
 are lifted to plain integers on entry and reduced mod q once at the end.
 An inexact division can only mean a bug and raises InternalArithmeticError.
+The operand bound comes from the ring: with a modulus q every coefficient
+lies in [0, q), so the engine takes q - 1 as both operands' largest
+magnitude without reading them (NTRU's ternary operands stored mod q reach
+q - 1 anyway); without one it takes max|c| of each operand.
 
 Packed vectors.  The engine carries a vector of n signed coefficients as one
 Python int P = sum(c_i * 2^(s*i)) with slot width s (Kronecker substitution,
 Harvey, JSC 2009): P is the polynomial evaluated at x = 2^s.  Sums,
 differences, small multiples and products of packed vectors are the packed
 sums, differences, multiples and polynomial products, exactly and whatever
-the slot values.  So evaluation, interpolation, recomposition (shifts and
-adds) and the leaf product (x * y) are each a few C-level big-int
-operations.  The shorter operand and each block of the longer one (see
-below) are packed once per product and the result is unpacked once.
-Reading slots back needs them to fit.  When every c_i lies in
-[-2^(s-1), 2^(s-1)), the c_i are the unique signed base-2^s digits of P.
-Adding 2^(s-1) to every slot then makes them non-negative digits that a
-shift and a mask read off.  Slots are read this way to split a node's
-operands (padding slots read as 0), in the division guard and at the
-final unpack.  A padded node's product needs no trim: every slot past its
-2n-1 coefficients is a sum of products with a zero padding slot.  Packing
-goes through array('q'): strided slice copies move each item's low
-min(s/8, 8) bytes into its slot, and one XOR and one subtract turn the
-two's-complement slots into signed digits.  Unpacking reverses this;
-slots narrower than 8 bytes are sign-extended by translating their top
-byte.
+the slot values: evaluation at 2^s is a ring homomorphism from Z[x] to Z.
+So evaluation, interpolation, recomposition (shifts and adds) and the leaf
+product (x * y) are each a few C-level big-int operations, and a slot that
+overflows in between never reaches the result.  The shorter operand and
+each block of the longer one (see below) are packed once per product and
+the result is unpacked once.  Reading slots back needs them to fit.  When
+every c_i lies in [-2^(s-1), 2^(s-1)), the c_i are the unique signed
+base-2^s digits of P.  Adding 2^(s-1) to every slot then makes them
+non-negative digits that a shift and a mask read off.  Slots are read in
+exactly three places, and only there must they fit:
+
+    cuts     a node's operands are split into parts (padding slots read
+             as 0); every method
+    guards   the quotient of each exact division; Toom-Cook only
+    unpack   the joined product, once; every method
+
+A padded node's product needs no trim: every slot past its 2n-1
+coefficients is a sum of products with a zero padding slot.  Packing goes
+through array('q'): strided slice copies move each item's low min(s/8, 8)
+bytes into its slot, and one XOR and one subtract turn the two's-complement
+slots into signed digits.  Unpacking reverses this into items of 1, 2, 4 or
+8 bytes, the smallest that hold a slot's low min(s/8, 8) bytes, and
+sign-extends a slot's top byte by translating it.  When q = 2^e with
+e <= 64, the product is reduced before it is unpacked: c mod 2^e is the low
+e bits of c's two's-complement slot, so one mask reduces every slot, only
+the low ceil(e/8) bytes of each are read, into unsigned items, and the
+result polynomial trusts them without a per-coefficient % q.  Any other q,
+and no modulus, unpack the signed slots and reduce them one by one.
 
 Slot width.  One evaluation level multiplies the largest magnitude by at
 most g = 2, 7, 40 for k = 2, 3, 4 (the values at 1, 2, 3 of a polynomial
@@ -69,17 +85,27 @@ intermediate is v3 - v0 - 9 c2 - 81 c4 - 729 vinf with |c2| <= 9.5 V and
 |c4| <= 6.5 V):
 
     k   intermediates   quotients   divisors   headroom   guard h
-    2   < 4 V           -           -           3 bits    -
     3   < 8 V           < 2 V       d <= 3      4 bits    s - 3
     4   < 2^11 V        < 2^9 V     d <= 8     13 bits    s - 4
 
-s is the bit length of V plus k's headroom, rounded up to whole bytes, and
-derived per product from the operands (never from a setting).  So every
-value fits its slot (4 V, 8 V, 2^11 V <= 2^(s-1)) and every correct
-quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).  At
-q = 2^13, the default cutoff and N = 256, 512, 768, 1024 that is
-40/48/48/48 bits for Karatsuba, 48/56/56/56 for Toom-3 and 72/72/72/80 for
-Toom-4 (at cutoff 16, with more levels: 48, 56/56/56/64 and 72/80/80/80).
+For Toom-Cook s is the bit length of V plus k's headroom, rounded up to
+whole bytes, and derived per product from the operands (never from a
+setting).  So every value fits its slot (8 V, 2^11 V <= 2^(s-1)) and every
+correct quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).
+Karatsuba divides nowhere, so no guard reads its interpolation slots
+(< 4 V): only the cuts, whose operands are at most max(|a|, |b|) 2^L, and
+the unpack, whose coefficients are at most |a| |b| ls for the shorter
+length ls, read slots.  Its s is the bit length of the larger of those two
+bounds plus a sign bit, in whole bytes; the homomorphism carries every
+other value to the result exactly.  At q = 2^13 and N = 256, 512, 768,
+1024 that gives
+
+    method      default cutoff    cutoff 16
+    Karatsuba   40/40/40/40       40/40/40/40
+    Toom-3      48/56/56/56       56/56/56/64
+    Toom-4      72/72/72/80       72/80/80/80
+
+bits.
 
 Division guard.  A zero remainder of divmod(X, d) does not mean that d
 divides every slot: slots (1, -1) with s = 16 give X = 1 - 2^16, which 3
@@ -89,7 +115,9 @@ divides every slot x_i.  If it does, the slots of Q are the x_i / d, which
 the width bound keeps in range.  Conversely, let the slots q_i of Q lie in
 [-2^h, 2^h).  Since 3 * 2^(s-3) and 8 * 2^(s-4) are at most 2^(s-1), every
 d q_i lies in [-2^(s-1), 2^(s-1)), so the d q_i are signed digits of
-d Q = X.  By uniqueness of signed digits they are the x_i.
+d Q = X.  By uniqueness of signed digits they are the x_i.  Division by
+d = 2, 4, 8 is a shift by t = 1, 2, 3 with the low t bits of X as the
+remainder, which is what divmod gives; its quotient passes the same guard.
 
 Evaluation trees.  _engine_mul hands every (block, shorter operand) pair
 to a pair runner in one call.  Each pair then takes three steps: look up
@@ -239,6 +267,10 @@ def _range_check(n: int, s: int, h: int) -> tuple[int, int]:
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
+#: array typecodes by item size in bytes, signed and unsigned.
+_SIGNED = {array(t).itemsize: t for t in "bhilq"}
+_UNSIGNED = {array(t).itemsize: t for t in "BHILQ"}
+
 #: bytes.translate table: a byte to the byte that sign-extends it.
 _SIGN_BYTES = bytes(255 if b >= 128 else 0 for b in range(256))
 
@@ -266,29 +298,46 @@ def _pack(coeffs, s: int) -> int:
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _unpack(x: int, n: int, s: int) -> list[int]:
-    """The n slots of x, each in [-2^(s-1), 2^(s-1)), as a list."""
+def _mask_bits(q: int | None) -> int:
+    """e when q = 2^e with e <= 64, so that a product's slots reduce mod q by
+    one mask and fit 8-byte items; 0 for any other q or None."""
+    e = q.bit_length() - 1 if q else 0
+    return e if q == 1 << e and e <= 64 else 0
+
+
+def _unpack(x: int, n: int, s: int, e: int = 0) -> list[int]:
+    """The n slots of x, each in [-2^(s-1), 2^(s-1)), as a list; with
+    0 < e < s and e <= 64, each slot's value mod 2^e instead."""
     w = s // 8
     top = _ones(n, s) << (s - 1)
-    raw = ((x + top) ^ top).to_bytes(n * w, "little")  # two's complement
-    if w < 8:
-        wide = bytearray(n * 8)
-        for j in range(w):
-            wide[j::8] = raw[j::w]
-        sign = raw[w - 1::w].translate(_SIGN_BYTES)
-        for j in range(w, 8):
-            wide[j::8] = sign
-        raw = wide
-    elif w > 8:
-        offset, mask = _range_check(n, s, 63)
-        if (x + offset) & mask:
-            return [int.from_bytes(raw[i:i + w], "little", signed=True)
-                    for i in range(0, n * w, w)]
-        low = bytearray(n * 8)
-        for j in range(8):
-            low[j::8] = raw[j::w]
-        raw = low
-    items = array("q", raw)
+    if e:
+        # adding top makes every slot c + 2^(s-1) without carries, so the
+        # low e bits of each slot are c mod 2^e
+        x = (x + top) & ((1 << e) - 1) * _ones(n, s)
+        r, codes = (e + 7) // 8, _UNSIGNED
+    else:
+        if w > 8:
+            offset, mask = _range_check(n, s, 63)
+            if (x + offset) & mask:
+                raw = ((x + top) ^ top).to_bytes(n * w, "little")
+                return [int.from_bytes(raw[i:i + w], "little", signed=True)
+                        for i in range(0, n * w, w)]
+        x = (x + top) ^ top                             # two's complement
+        r, codes = min(w, 8), _SIGNED
+    # the low r bytes of each slot hold its value: they go into items of
+    # z = 1, 2, 4 or 8 bytes, the top byte sign-extended for signed values
+    z = 1 << (r - 1).bit_length()
+    raw = x.to_bytes(n * w, "little")
+    if z != w:
+        items = bytearray(n * z)
+        for j in range(r):
+            items[j::z] = raw[j::w]
+        if r < z and not e:
+            sign = raw[r - 1::w].translate(_SIGN_BYTES)
+            for j in range(r, z):
+                items[j::z] = sign
+        raw = items
+    items = array(codes[z], raw)
     if _BIG_ENDIAN:
         items.byteswap()
     return items.tolist()
@@ -346,6 +395,16 @@ def _exact_div(x: int, d: int, guard: tuple[int, int]) -> int:
     return q
 
 
+def _exact_shift(x: int, t: int, guard: tuple[int, int]) -> int:
+    """_exact_div(x, 2^t, guard) as a shift plus a test of the low t bits,
+    which is the remainder divmod would give."""
+    q = x >> t
+    if x & ((1 << t) - 1) or (q + guard[0]) & guard[1]:
+        raise InternalArithmeticError(
+            f"interpolation division by {1 << t} left a remainder")
+    return q
+
+
 def _evaluate2(p0, p1):
     return p0, p0 + p1, p1
 
@@ -373,24 +432,24 @@ def _interpolate3(products, guard):
     # points (0, 1, -1, 2, inf); every division below is exact over Z
     v0, v1, vm1, v2, vinf = products
     g = _exact_div(v2 - vm1, 3, guard)                      # c1+c2+3c3+5c4
-    h = _exact_div(v1 - vm1, 2, guard)                      # c1+c3
+    h = _exact_shift(v1 - vm1, 1, guard)                    # c1+c3
     m = vm1 - v0                                            # -c1+c2-c3+c4
-    w3 = _exact_div(g - m, 2, guard) - h - 2 * vinf         # c3
+    w3 = _exact_shift(g - m, 1, guard) - h - 2 * vinf       # c3
     return v0, h - w3, m + h - vinf, w3, vinf
 
 
 def _interpolate4(products, guard):
     # points (0, 1, -1, 2, -2, 3, inf)
     v0, v1, vm1, v2, vm2, v3, vinf = products
-    t0 = _exact_div(v1 + vm1, 2, guard) - v0 - vinf         # c2+c4
-    t1 = _exact_div(v2 + vm2 - 2 * v0 - 128 * vinf, 8, guard)   # c2+4c4
+    t0 = _exact_shift(v1 + vm1, 1, guard) - v0 - vinf       # c2+c4
+    t1 = _exact_shift(v2 + vm2 - 2 * v0 - 128 * vinf, 3, guard)   # c2+4c4
     w4 = _exact_div(t1 - t0, 3, guard)                      # c4
     w2 = t0 - w4                                            # c2
-    s0 = _exact_div(v1 - vm1, 2, guard)                     # c1+c3+c5
-    s1 = _exact_div(v2 - vm2, 4, guard)
+    s0 = _exact_shift(v1 - vm1, 1, guard)                   # c1+c3+c5
+    s1 = _exact_shift(v2 - vm2, 2, guard)
     s1 = _exact_div(s1 - s0, 3, guard)                      # c3+5c5
     s2 = _exact_div(v3 - v0 - 9 * w2 - 81 * w4 - 729 * vinf, 3, guard)
-    s2 = _exact_div(s2 - s0, 8, guard) - s1                 # 5c5
+    s2 = _exact_shift(s2 - s0, 3, guard) - s1               # 5c5
     w5 = _exact_div(s2, 5, guard)                           # c5
     w3 = s1 - s2                                            # c3
     return v0, s0 - w3 - w5, w2, w3, w4, w5, vinf
@@ -408,6 +467,8 @@ class _Steps(NamedTuple):
     guard: int               # quotient slots lie in [-2^(s-guard), ...)
 
 
+#: k = 2's headroom and guard serve only interpolate(): the engine reads
+#: no Karatsuba interpolation slot (see _engine_bits).
 _STEPS = {
     2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 3, 1),    # p(1) = p0+p1
     3: _Steps(_evaluate3, _interpolate3, 7, 5, 9, 4, 3),    # p(2) = p0+..+4p2
@@ -513,14 +574,21 @@ def _levels(n: int, k: int, cutoff: int, s: int) -> tuple[_Level, ...]:
 
 def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
     """The slot width of an engine product of two length-n vectors with
-    largest magnitudes amax and bmax: _slot_bits of the leaf bound
+    largest magnitudes amax and bmax, from the values whose slots are read.
+
+    Karatsuba divides nowhere, so only the cuts (operands of at most
+    max(amax, bmax) * 2^L) and the final unpack (at most amax * bmax * n)
+    read slots: their larger bound plus a sign bit.  Toom-Cook's guards read
+    interpolation values: _slot_bits of the leaf bound
     max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len with k's headroom."""
     steps = _STEPS[k]
-    bound = max(amax, 1) * max(bmax, 1)
-    while n > cutoff:
-        n = -(-n // k)
-        bound *= steps.growth * steps.growth
-    return _slot_bits(bound * n, steps.headroom)
+    depth, leaf = 0, n
+    while leaf > cutoff:
+        leaf, depth = -(-leaf // k), depth + 1
+    if k == 2:
+        return _slot_bits(max(max(amax, bmax) << depth, amax * bmax * n), 1)
+    return _slot_bits(max(amax, 1) * max(bmax, 1)
+                      * steps.growth ** (2 * depth) * leaf, steps.headroom)
 
 
 @lru_cache(maxsize=1024)
@@ -563,7 +631,8 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
 
 #: Evaluation trees _leaves keeps, one per operand or block: a long operand
 #: shared across a batch stays in the memo while its blocks + 1 <= 64.  One
-#: tree of N = 1024 takes 39-67 kB at the default cutoff, 67-96 kB at 16.
+#: tree of N = 1024 at q = 2^13 takes 39-67 kB at the default cutoff
+#: (Karatsuba's 49 kB), 67-86 kB at 16.
 _MEMO_ENTRIES = 64
 
 
@@ -613,20 +682,26 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     shape alone: _tree_counts per block plus the adds that join the blocks.
     """
     a._check_ring(b)
-    long, short = a.coeffs, b.coeffs
+    long, short, q = a.coeffs, b.coeffs, a.modulus
     if len(long) < len(short):
         long, short = short, long
     ls = len(short)
-    s = _engine_bits(max(map(abs, long)), max(map(abs, short)), ls, k,
-                     cutoff)
+    if q is None:
+        amax, bmax = max(map(abs, long)), max(map(abs, short))
+    else:
+        amax = bmax = q - 1             # reduced coefficients lie in [0, q)
+    s = _engine_bits(amax, bmax, ls, k, cutoff)
     y = _pack(short, s)
     pairs = [(_pack(long[i:i + ls], s), y) for i in range(0, len(long), ls)]
     products = run_pairs(pairs, k, cutoff, ls, s)
     mults, adds = _tree_counts(ls, k, cutoff)
     counter.fundamental_mults += len(pairs) * mults
     counter.fundamental_adds += len(pairs) * adds + (len(pairs) - 1) * (ls - 1)
-    out = _unpack(_join_blocks(products, s * ls), len(long) + ls - 1, s)
-    return Polynomial(out, a.modulus)
+    x, n = _join_blocks(products, s * ls), len(long) + ls - 1
+    e = _mask_bits(q)
+    if e:
+        return Polynomial._reduced(_unpack(x, n, s, e), q)
+    return Polynomial(_unpack(x, n, s), q)
 
 
 def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):

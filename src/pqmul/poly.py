@@ -75,6 +75,15 @@ class Polynomial:
         self._coeffs = tuple(_normalize(coeffs))
         self._modulus = modulus
 
+    @classmethod
+    def _reduced(cls, coeffs: list[int], modulus: int) -> "Polynomial":
+        """A polynomial from a non-empty list of coefficients already in
+        [0, modulus): they are trusted, and only trailing zeros trimmed."""
+        self = object.__new__(cls)
+        self._coeffs = tuple(_normalize(coeffs))
+        self._modulus = modulus
+        return self
+
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

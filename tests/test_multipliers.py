@@ -5,6 +5,7 @@ recursive transcription of the count recurrence M(n) = (2k-1) * M(ceil(n/k))
 for operation counts.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from pqmul.multipliers import (
     _STEPS,
     _engine_bits,
     _exact_div,
+    _exact_shift,
     _leaves,
     _pack,
     _range_check,
@@ -399,6 +401,14 @@ def signed_vector(draw, max_size):
     return v
 
 
+def divide(x, d, guard):
+    """x/d as the interpolation divides: a shift for d = 2, 4, 8, divmod
+    for d = 3, 5."""
+    if d & (d - 1) == 0:
+        return _exact_shift(x, d.bit_length() - 1, guard)
+    return _exact_div(x, d, guard)
+
+
 def slot_bits_for(bound):
     """The smallest slot width _pack and _unpack accept for |c| <= bound."""
     return max(64, (bound.bit_length() + 8) & -8)
@@ -435,7 +445,7 @@ class TestPackedVectors:
         x = _pack(slots, s)
         assert x % d == 0
         with pytest.raises(InternalArithmeticError):
-            _exact_div(x, d, _range_check(len(slots), s, s - 5))
+            divide(x, d, _range_check(len(slots), s, s - 5))
 
     def test_exact_division_of_every_slot(self):
         s = 64
@@ -512,6 +522,16 @@ class TestNarrowSlots:
         assert _unpack(packed, len(v), s) == v
 
     @PROPERTY
+    @given(narrow_vector(), st.integers(1, 55))
+    @example((8, [-128, 127, -1]), 7)
+    @example((56, [-(2 ** 55), 2 ** 55 - 1]), 55)
+    def test_unpack_mod_power_of_two(self, sv, e):
+        """Signed slots read mod 2^e, for any e < s."""
+        s, v = sv
+        e = min(e, s - 1)
+        assert _unpack(_pack(v, s), len(v), s, e) == [c % 2 ** e for c in v]
+
+    @PROPERTY
     @given(narrow_factors())
     @example((16, [127, 127], [-128, -128]))
     @example((8, [-1] * 16, [7] * 16))
@@ -526,13 +546,16 @@ class TestNarrowSlots:
         (3, [4, 0, 1, 4], 2),   # one bad slot between good ones
         (4, [4, 0, 1, 4], 2),
         (4, [8, 4, 8], 8),      # 4 * 2^16 divides by 8; slot 1 does not
+        (3, [2, 4, 1, 6], 2),   # an odd slot among even ones
+        (4, [2, 4, 1, 6], 2),
+        (4, [4, 0, 2, 4], 4),   # 2 * 2^32 divides by 4; slot 2 does not
     ])
     def test_exact_division_guard(self, k, slots, d):
         s = 16
         x = _pack(slots, s)
         assert x % d == 0
         with pytest.raises(InternalArithmeticError):
-            _exact_div(x, d, _range_check(len(slots), s, s - GUARD[k]))
+            divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_exact_division_of_every_slot(self, k):
@@ -541,15 +564,42 @@ class TestNarrowSlots:
         q = _exact_div(_pack([9, -24, 3], s), 3, guard)
         assert _unpack(q, 3, s) == [3, -8, 1]
 
+    @pytest.mark.parametrize("k, slots, d", [
+        (3, [1, -1], 2),        # 1 - 2^16 is odd
+        (4, [1, -1], 2),
+        (3, [1], 2),            # floor quotients in range: only the low
+        (4, [3, 0], 4),         # bits show the remainder
+        (4, [7, 8], 8),
+    ])
+    def test_shift_remainder_raises(self, k, slots, d):
+        s = 16
+        x = _pack(slots, s)
+        assert x % d
+        with pytest.raises(InternalArithmeticError):
+            divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
+
+    @pytest.mark.parametrize("k, d", [
+        (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (4, 8)])
+    def test_division_at_the_guard_edges(self, k, d):
+        """Quotient slots at both ends of [-2^h, 2^h) pass the guard: every
+        divisor each method uses, at its guard exponent."""
+        s = 16
+        h = s - GUARD[k]
+        quotients = [-2 ** h, 2 ** h - 1, 1, 0, -1]
+        guard = _range_check(len(quotients), s, h)
+        x = _pack([d * c for c in quotients], s)
+        assert _unpack(divide(x, d, guard), len(quotients), s) == quotients
+
 
 # ---------------------------------------------------------------------------
 # slot headroom at the byte boundary
 # ---------------------------------------------------------------------------
 
-#: Slot bits above the leaf bound V per splitting factor, and the growth g
-#: of the largest value per evaluation level (p(1), p(2), p(3) of an
-#: all-ones polynomial).
-HEADROOM = {2: 3, 3: 4, 4: 13}
+#: Slot bits above the bound the width is taken from, per splitting factor:
+#: Toom-Cook's headroom over the leaf bound V, and for Karatsuba one sign
+#: bit over the largest value it reads.  The growth g of the largest value
+#: per evaluation level (p(1), p(2), p(3) of an all-ones polynomial).
+HEADROOM = {2: 1, 3: 4, 4: 13}
 GROWTH = {2: 2, 3: 7, 4: 40}
 
 #: (n, cutoff) per k with no padding at any level, so the all-equal
@@ -561,15 +611,17 @@ DIVISIBLE = 2 ** 10 * 3 ** 3 * 5 ** 2
 
 
 def headroom_case(k: int, offset: int):
-    """(c, n, cutoff, V, s): the largest c for which V = c^2 g^(2L) leaf_len
-    has bit length b with b + HEADROOM[k] = offset mod 8, and s, that sum
-    rounded up to whole bytes.  At offset 0 the slot has no rounding slack;
-    at offset 1 one bit less headroom would make it a byte narrower."""
+    """(c, n, cutoff, bound, s): the largest c for which the bound has bit
+    length b with b + HEADROOM[k] = offset mod 8, and s, that sum rounded
+    up to whole bytes.  The bound is V = c^2 g^(2L) leaf_len for Toom-Cook
+    and the product bound c^2 n for Karatsuba, whose operand cuts read at
+    most c 2^L.  At offset 0 the slot has no rounding slack; at offset 1
+    one bit less headroom would make it a byte narrower."""
     n, cutoff = HEADROOM_SHAPES[k]
     depth, leaf = 0, n
     while leaf > cutoff:
         leaf, depth = -(-leaf // k), depth + 1
-    scale = GROWTH[k] ** (2 * depth) * leaf
+    scale = n if k == 2 else GROWTH[k] ** (2 * depth) * leaf
     b = 48 + (offset - 48 - HEADROOM[k]) % 8
     c = math.isqrt((2 ** b - 1) // scale)
     bound = c * c * scale
@@ -585,17 +637,19 @@ def headroom_plan(k: int, cutoff: int) -> MethodPlan:
 class TestSlotHeadroom:
     """The slot width of each method, with its largest values at the
     byte boundary: products of same-sign and alternating-sign operands, and
-    the interpolation step on every sign pattern of V-bounded inputs."""
+    Toom-Cook's interpolation step on every sign pattern of V-bounded
+    inputs.  Karatsuba reads no interpolation slot, so its width comes from
+    the operand cuts and the product alone."""
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [48, 48, 48, 48]), (3, [56, 56, 56, 64]), (4, [72, 80, 80, 80])])
+        (2, [40, 40, 40, 40]), (3, [56, 56, 56, 64]), (4, [72, 80, 80, 80])])
     def test_widths_at_q_8192(self, k, widths):
         """The benchmark's sizes N = 256, 512, 768, 1024 at cutoff 16."""
         assert [_engine_bits(8191, 8191, n, k, 16)
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 48, 48, 48]), (3, [48, 56, 56, 56]), (4, [72, 72, 72, 80])])
+        (2, [40, 40, 40, 40]), (3, [48, 56, 56, 56]), (4, [72, 72, 72, 80])])
     def test_widths_at_q_8192_default_cutoff(self, k, widths):
         """Fewer levels than at cutoff 16, so narrower slots."""
         assert [_engine_bits(8191, 8191, n, k, DEFAULT_BASE_CUTOFF)
@@ -619,7 +673,25 @@ class TestSlotHeadroom:
             assert multiply(a, b, plan) == schoolbook_mul(a, b)
 
     @pytest.mark.parametrize("offset", [0, 1])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_operand_cut_bound(self, offset):
+        """|b| = 1 and a = c = 2^t: the cuts' bound c 2^L is one bit longer
+        than the product bound c n (n = 2^j + 1 pads to 2^L = 2n - 2 at
+        cutoff 1), and at offset 1 that bit costs a byte; the products stay
+        exact at that width."""
+        n, cutoff, depth, c = 33, 1, 6, 2 ** (8 + offset)
+        cut_bits, product_bits = (c << depth).bit_length(), (c * n).bit_length()
+        assert cut_bits == product_bits + 1 and (cut_bits + 1) % 8 == offset
+        s = _engine_bits(c, 1, n, 2, cutoff)
+        assert s == (cut_bits + 1 + 7) & -8
+        assert s == ((product_bits + 1 + 7) & -8) + 8 * (offset == 1)
+        plan = headroom_plan(2, cutoff)
+        same, ones = Polynomial([c] * n), Polynomial([1] * n)
+        alternating = Polynomial([(-1) ** i * c for i in range(n)])
+        for a in (same, alternating):
+            assert multiply(a, ones, plan) == schoolbook_mul(a, ones)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("k", [3, 4])
     def test_interpolation(self, k, offset):
         """Inputs of magnitude up to V in every sign pattern, one slot per
         pattern, give the same slices in the engine's slots as in slots
@@ -636,6 +708,82 @@ class TestSlotHeadroom:
             return [_unpack(x, len(signs), width) for x in out]
 
         assert slices(s) == slices(4 * s)
+
+
+# ---------------------------------------------------------------------------
+# the result: masked mod 2^e, or unpacked and reduced mod q
+# ---------------------------------------------------------------------------
+
+#: Powers of two up to 2^64 reduce the packed result by a mask; 2^65 and
+#: 2^70 lie above that path's limit and, like every other modulus, take
+#: the unpack and % q path.
+POWER_MODULI = [2, 4, 2 ** 8, 2 ** 13, 2 ** 16, 2 ** 17, 2 ** 64, 2 ** 65,
+                2 ** 70]
+OTHER_MODULI = [3, 7681, 12289]
+
+
+def modulus_id(q) -> str:
+    if q is not None and q & (q - 1) == 0:
+        return f"2^{q.bit_length() - 1}"
+    return str(q)
+
+
+def plan_id(plan: MethodPlan) -> str:
+    return f"{plan.label}-c{plan.base_cutoff}"
+
+
+def assert_schoolbook_product(a, b, plan):
+    got, ref = multiply(a, b, plan), schoolbook_mul(a, b)
+    assert got.coeffs == ref.coeffs and got.modulus == ref.modulus
+
+
+class TestResultReduction:
+    @pytest.mark.parametrize("q", POWER_MODULI + OTHER_MODULI + [None],
+                             ids=modulus_id)
+    @pytest.mark.parametrize("plan", PLANS + DEFAULT_PLANS, ids=plan_id)
+    def test_random_operands(self, q, plan):
+        """Without a modulus the operands are signed."""
+        rng = random.Random(q)
+        bound = 2 ** 20 if q is None else q
+        for la, lb in ((1, 1), (2, 2), (33, 33), (100, 37), (128, 128)):
+            a = Polynomial([rng.randrange(-bound, bound) for _ in range(la)],
+                           q)
+            b = Polynomial([rng.randrange(-bound, bound) for _ in range(lb)],
+                           q)
+            assert_schoolbook_product(a, b, plan)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("q", [2, 4, 2 ** 13, 2 ** 16, 2 ** 64, 2 ** 65,
+                                   7681], ids=modulus_id)
+    def test_all_top_operands(self, q, workers):
+        """All-(q-1) operands, balanced and 1024 x short, in-process and on
+        the pool."""
+        long = Polynomial([q - 1] * 1024, q)
+        for b in (long, Polynomial([q - 1] * 70, q)):
+            for plan in DEFAULT_PLANS:
+                assert_schoolbook_product(long, b,
+                                          replace(plan, workers=workers))
+
+    @pytest.mark.parametrize("plan", PLANS + DEFAULT_PLANS, ids=plan_id)
+    def test_leading_coefficients_reduce_to_zero(self, plan):
+        """Leads 2 * 2 = 0 mod 4: the trailing zeros are trimmed."""
+        for n in (2, 33, 100):
+            a = Polynomial.random(n - 1, 4, seed=n).coeffs + (2,)
+            b = Polynomial.random(n - 1, 4, seed=n + 1).coeffs + (2,)
+            pa, pb = Polynomial(a, 4), Polynomial(b, 4)
+            assert len(multiply(pa, pb, plan)) < 2 * n - 1
+            assert_schoolbook_product(pa, pb, plan)
+
+    @pytest.mark.parametrize("plan", PLANS + DEFAULT_PLANS, ids=plan_id)
+    def test_one_byte_slots(self, plan):
+        """q = 2: Karatsuba's slots are one byte wide up to length 63."""
+        for n in (1, 2, 17, 33, 63):
+            if plan.k == 2:
+                assert _engine_bits(1, 1, n, 2, plan.base_cutoff) == 8
+            a = Polynomial([1] * n, 2)
+            b = Polynomial.random(n, 2, seed=n, modulus=2)
+            assert_schoolbook_product(a, b, plan)
+            assert_schoolbook_product(a, a, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -701,3 +849,51 @@ class TestEngineProperties:
         multiply(a, b, plan, c)
         assert c.fundamental_mults == \
             -(-long // short) * predicted_mult_count(plan, short)
+
+
+# ---------------------------------------------------------------------------
+# parity: products and counts pinned over a fixed sweep
+# ---------------------------------------------------------------------------
+
+PARITY_MODULI = (None, 2, 3, 2048, 4096, 7681, 8192, 2 ** 17, 2 ** 64)
+PARITY_SHAPES = [(n, n) for n in [*range(1, 50), 64, 97, 128, 255,
+                                  256, 509, 512, 677, 701, 768, 821, 1024]] \
+    + [(1024, m) for m in (1, 2, 5, 16, 48, 49, 70, 100, 128, 255)] \
+    + [(70, 1024)]
+
+#: Taken at commit fd1c62e, before the ring-derived operand bound, the
+#: masked mod-2^e result, Karatsuba's read-sized slots and the shift
+#: divisions.
+PARITY_DIGEST = \
+    "744df1f75e29f56a735c7d6283afba108bb6f401cb5740c209cfd4f3593059e9"
+
+
+def parity_operand(length: int, q, seed: int) -> Polynomial:
+    if q is not None:
+        return Polynomial.random(length, q, seed, modulus=q)
+    rng = random.Random(seed)
+    return Polynomial([rng.randrange(-2 ** 16, 2 ** 16)
+                       for _ in range(length)])
+
+
+class TestParity:
+    def test_sweep_digest(self):
+        """SHA-256 of repr((coeffs, fundamental_mults, fundamental_adds))
+        of every default plan over PARITY_SHAPES and PARITY_MODULI, for
+        random operands and, with a modulus, all-(q-1) ones.  The digest was
+        taken at commit fd1c62e: any change to a product or a count of the
+        default plans shows here."""
+        digest = hashlib.sha256()
+        for q in PARITY_MODULI:
+            for la, lb in PARITY_SHAPES:
+                pairs = [(parity_operand(la, q, la),
+                          parity_operand(lb, q, lb + 1))]
+                if q is not None:
+                    pairs.append((Polynomial([q - 1] * la, q),
+                                  Polynomial([q - 1] * lb, q)))
+                for (a, b), plan in itertools.product(pairs, DEFAULT_PLANS):
+                    counter = OperationCounter()
+                    coeffs = multiply(a, b, plan, counter).coeffs
+                    digest.update(repr((coeffs, counter.fundamental_mults,
+                                        counter.fundamental_adds)).encode())
+        assert digest.hexdigest() == PARITY_DIGEST
