@@ -16,15 +16,8 @@ law; the cutoff trades formula exactness for wall-clock speed.  A leaf is
 one C-level big-int product, which CPython itself runs as Karatsuba on long
 operands, while every recursion node adds interpreter work (cutting,
 evaluating, interpolating, recomposing).  So DEFAULT_BASE_CUTOFF is a
-measured constant, as GMP's Toom thresholds are.  Swept over N = 256-1024
-at q = 4096 and 8192, cutoff 48 runs the benchmark's product mix about
-1.5x as fast as cutoff 16.  Cutoffs 64-127 run it faster still, but there
-sequential Toom-3 at N = 512 (two levels, leaves of 57) comes within about
-10 % of Karatsuba (leaves of 64), so load noise makes it the faster
-sequential plan, which the selector never picks.  At 48 it splits N = 512
-three times and stays about 1.4x slower than Karatsuba.  Every method still
-splits N = 256 at least twice, so Karatsuba and Toom-Cook remain different
-computations.
+measured constant, as GMP's Toom thresholds are; README gives the
+measurement.
 
 Interpolation is done entirely over the integers: every division in the
 back-substitution below is exact for any integer inputs, so modular operands
@@ -44,7 +37,7 @@ the slot values: evaluation at 2^s is a ring homomorphism from Z[x] to Z.
 So evaluation, interpolation, recomposition (shifts and adds) and the leaf
 product (x * y) are each a few C-level big-int operations, and a slot that
 overflows in between never reaches the result.  The shorter operand and
-each block of the longer one (see below) are packed once per product and
+each block of the longer one (see below) are packed once per batch and
 the result is unpacked once.  Reading slots back needs them to fit.  When
 every c_i lies in [-2^(s-1), 2^(s-1)), the c_i are the unique signed
 base-2^s digits of P.  Adding 2^(s-1) to every slot then makes them
@@ -97,15 +90,7 @@ Karatsuba divides nowhere, so no guard reads its interpolation slots
 the unpack, whose coefficients are at most |a| |b| ls for the shorter
 length ls, read slots.  Its s is the bit length of the larger of those two
 bounds plus a sign bit, in whole bytes; the homomorphism carries every
-other value to the result exactly.  At q = 2^13 and N = 256, 512, 768,
-1024 that gives
-
-    method      default cutoff    cutoff 16
-    Karatsuba   40/40/40/40       40/40/40/40
-    Toom-3      48/56/56/56       56/56/56/64
-    Toom-4      72/72/72/80       72/80/80/80
-
-bits.
+other value to the result exactly.
 
 Division guard.  A zero remainder of divmod(X, d) does not mean that d
 divides every slot: slots (1, -1) with s = 16 give X = 1 - 2^16, which 3
@@ -275,15 +260,15 @@ _UNSIGNED = {array(t).itemsize: t for t in "BHILQ"}
 _SIGN_BYTES = bytes(255 if b >= 128 else 0 for b in range(256))
 
 
-def _pack(coeffs, s: int) -> int:
-    """sum(c_i * 2^(s*i)), exact for any ints with |c_i| < 2^(s-1)."""
+def _slot_bytes(coeffs, s: int) -> tuple[bytes, int]:
+    """(raw, t): the little-endian bytes of len(coeffs) slots of s bits,
+    slot i holding c_i mod 2^t, for any ints with |c_i| < 2^(s-1)."""
     n, w = len(coeffs), s // 8
     try:
         items = array("q", coeffs)
     except OverflowError:
-        top = _ones(n, s) << (s - 1)
-        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
-        return (int.from_bytes(raw, "little") ^ top) - top
+        return b"".join([c.to_bytes(w, "little", signed=True)
+                         for c in coeffs]), s
     if _BIG_ENDIAN:
         items.byteswap()
     raw = items.tobytes()
@@ -292,10 +277,39 @@ def _pack(coeffs, s: int) -> int:
         for j in range(min(w, 8)):
             slots[j::w] = raw[j::8]
         raw = slots
-    # each slot holds c mod 2^t, t = min(s, 64); flipping bit t-1 makes it
-    # c + 2^(t-1)
-    top = _ones(n, s) << (min(s, 64) - 1)
+    return raw, min(s, 64)
+
+
+def _from_slots(raw, s: int, t: int) -> int:
+    """The packed int of _slot_bytes' (raw, t): flipping bit t-1 of each
+    slot makes it c + 2^(t-1), and subtracting those offsets leaves c."""
+    top = _ones(len(raw) * 8 // s, s) << (t - 1)
     return (int.from_bytes(raw, "little") ^ top) - top
+
+
+def _pack(coeffs, s: int) -> int:
+    """sum(c_i * 2^(s*i)), exact for any ints with |c_i| < 2^(s-1)."""
+    raw, t = _slot_bytes(coeffs, s)
+    return _from_slots(raw, s, t)
+
+
+#: Operands _pack_blocks keeps packed: a batch's shared operand stays while
+#: fewer than this many other operands are packed between two of its
+#: products (each product packs at most one other).
+_PACKED_ENTRIES = 8
+
+
+@lru_cache(maxsize=_PACKED_ENTRIES)
+def _pack_blocks(coeffs: tuple[int, ...], ls: int,
+                 s: int) -> tuple[int, ...]:
+    """coeffs cut into blocks of ls (the last may be shorter), each packed:
+    the bytes of all slots are made once and sliced per block, in time
+    linear in len(coeffs).  Memoised, so an operand shared by a batch of
+    products is packed once."""
+    raw, t = _slot_bytes(coeffs, s)
+    step = ls * s // 8
+    return tuple(_from_slots(raw[i:i + step], s, t)
+                 for i in range(0, len(raw), step))
 
 
 def _mask_bits(q: int | None) -> int:
@@ -675,11 +689,12 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
                 counter: OperationCounter, run_pairs) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
-    Packs the shorter operand and each block of the longer one once, hands
-    all (block, shorter operand) pairs to run_pairs(pairs, k, cutoff, ls, s)
-    in one call, then sums the block products and unpacks once; the result
-    does not depend on where run_pairs runs them.  The counts come from the
-    shape alone: _tree_counts per block plus the adds that join the blocks.
+    Packs the shorter operand and the blocks of the longer one (memoised
+    per operand, so once per batch), hands all (block, shorter operand)
+    pairs to run_pairs(pairs, k, cutoff, ls, s) in one call, then sums the
+    block products and unpacks once; the result does not depend on where
+    run_pairs runs them.  The counts come from the shape alone:
+    _tree_counts per block plus the adds that join the blocks.
     """
     a._check_ring(b)
     long, short, q = a.coeffs, b.coeffs, a.modulus
@@ -691,8 +706,8 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     else:
         amax = bmax = q - 1             # reduced coefficients lie in [0, q)
     s = _engine_bits(amax, bmax, ls, k, cutoff)
-    y = _pack(short, s)
-    pairs = [(_pack(long[i:i + ls], s), y) for i in range(0, len(long), ls)]
+    (y,) = _pack_blocks(short, ls, s)
+    pairs = [(x, y) for x in _pack_blocks(long, ls, s)]
     products = run_pairs(pairs, k, cutoff, ls, s)
     mults, adds = _tree_counts(ls, k, cutoff)
     counter.fundamental_mults += len(pairs) * mults

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
 from .errors import CoverageError, InvalidInputError, ScenarioError
@@ -39,10 +39,12 @@ class MecNode:
 
     cores: int
     load_trace: tuple[tuple[float, float], ...]  # (time_ms, load_pct)
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "load_trace",
                            tuple((float(t), float(l)) for t, l in self.load_trace))
+        object.__setattr__(self, "_times", tuple(t for t, _ in self.load_trace))
         if self.cores < 1:
             raise ScenarioError(f"mec cores must be >= 1, got {self.cores}")
         if not self.load_trace:
@@ -60,8 +62,7 @@ class MecNode:
 
     def load_at(self, t_ms: float) -> float:
         """Load of the last breakpoint at or before t_ms (first if none)."""
-        # loads are finite, so (t_ms, inf) sorts after every (t_ms, load)
-        i = bisect_right(self.load_trace, (t_ms, math.inf))
+        i = bisect_right(self._times, t_ms)
         return self.load_trace[i - 1][1] if i else self.load_trace[0][1]
 
 
@@ -138,47 +139,59 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     """Simulate the scenario and report handover crypto latencies.
 
     time_model is anything with predict(plan, degree, load_pct) -> ns (the
-    calibrated TimeModel, or a live runner).  Deterministic per seed.
+    calibrated TimeModel, or a live runner).  A handover's plan depends
+    only on its target node and that node's load, so a run decides it once
+    per (node, load) and reuses it; predict runs on every handover, since a
+    live runner times a fresh product on each call.  Deterministic per seed.
     """
     if scenario.policy_mode == "rule_table" and table is None:
         raise InvalidInputError("rule_table mode needs a rule table")
-    n_mecs = len(scenario.mec_nodes)
+    nodes, degree, fixed_plan = \
+        scenario.mec_nodes, scenario.degree, scenario.fixed_plan
+    duration_ms, mults = scenario.duration_ms, scenario.mults_per_handover
+    rate = 1.0 / scenario.handover_interval_ms
+    rule_table = scenario.policy_mode == "rule_table"
+    predict = time_model.predict
+    n_mecs = len(nodes)
+    # (target node, load) -> (plan, plan.label), for this run only
+    decided: dict[tuple[int, float], tuple[MethodPlan, str]] = {}
     per_vehicle = []
     mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
     all_latencies: list[float] = []
 
     for v in range(scenario.vehicles):
         rng = random.Random(derive_seed(scenario.seed, v))
-        current = rng.randrange(n_mecs)
+        randrange, expovariate = rng.randrange, rng.expovariate
+        current = randrange(n_mecs)
         latencies: list[float] = []
-        t = rng.expovariate(1.0 / scenario.handover_interval_ms)
-        while t < scenario.duration_ms:
+        t = expovariate(rate)
+        while t < duration_ms:
             if n_mecs > 1:
-                target = rng.randrange(n_mecs - 1)
+                target = randrange(n_mecs - 1)
                 if target >= current:
                     target += 1
             else:
                 target = current
-            node = scenario.mec_nodes[target]
+            node = nodes[target]
             load = node.load_at(t)
-            if scenario.policy_mode == "rule_table":
+            decision = decided.get((target, load))
+            if decision is None:
                 plan = select_method(table, SystemState(
-                    degree=scenario.degree, load_pct=load,
-                    available_cores=node.cores))
-            else:
-                plan = scenario.fixed_plan
+                    degree=degree, load_pct=load,
+                    available_cores=node.cores)) if rule_table else fixed_plan
+                decision = decided[target, load] = plan, plan.label
+            plan, label = decision
             try:
-                per_mult_ns = time_model.predict(plan, scenario.degree, load)
+                per_mult_ns = predict(plan, degree, load)
             except CoverageError as exc:
                 raise CoverageError(
                     f"vehicle {v} handover at t={t:.1f}ms to mec {target}: "
                     f"{exc}") from exc
-            latency_ms = scenario.mults_per_handover * per_mult_ns / 1e6
-            latencies.append(latency_ms)
-            mec_plans[target][plan.label] = \
-                mec_plans[target].get(plan.label, 0) + 1
+            latencies.append(mults * per_mult_ns / 1e6)
+            plans = mec_plans[target]
+            plans[label] = plans.get(label, 0) + 1
             current = target
-            t += rng.expovariate(1.0 / scenario.handover_interval_ms)
+            t += expovariate(rate)
         latencies_sorted = sorted(latencies)
         per_vehicle.append(VehicleStats(
             vehicle=v, handovers=len(latencies),

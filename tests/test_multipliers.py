@@ -38,6 +38,7 @@ from pqmul.multipliers import (
     _exact_shift,
     _leaves,
     _pack,
+    _pack_blocks,
     _range_check,
     _unpack,
 )
@@ -426,6 +427,15 @@ class TestPackedVectors:
         assert _unpack(packed, len(v), s) == v
 
     @PROPERTY
+    @given(signed_vector(64), st.integers(1, 70), st.integers(0, 2))
+    @example([2 ** 63 - 1, -(2 ** 63), 5], 2, 0)
+    @example([2 ** 70, -1, 3], 1, 0)
+    def test_blocks_are_packed_slices(self, v, ls, extra_bytes):
+        s = slot_bits_for(max(map(abs, v))) + 8 * extra_bytes
+        assert _pack_blocks(tuple(v), ls, s) == tuple(
+            _pack(v[i:i + ls], s) for i in range(0, len(v), ls))
+
+    @PROPERTY
     @given(signed_vector(16), signed_vector(16))
     @example([2 ** 30] * 16, [2 ** 29] * 16)
     @example([0] * 3, [2 ** 70, -1])
@@ -520,6 +530,14 @@ class TestNarrowSlots:
         packed = _pack(v, s)
         assert packed == sum(c << (s * i) for i, c in enumerate(v))
         assert _unpack(packed, len(v), s) == v
+
+    @PROPERTY
+    @given(narrow_vector(), st.integers(1, 70))
+    @example((8, [127, -128, 0]), 2)
+    def test_blocks_are_packed_slices(self, sv, ls):
+        s, v = sv
+        assert _pack_blocks(tuple(v), ls, s) == tuple(
+            _pack(v[i:i + ls], s) for i in range(0, len(v), ls))
 
     @PROPERTY
     @given(narrow_vector(), st.integers(1, 55))
@@ -816,6 +834,19 @@ class TestLeafMemo:
             short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
             multiply(shared, short, plan)
         assert _leaves.cache_info().misses == 15 + 10
+
+    def test_shared_operand_packed_once(self):
+        """The shared 1024-coefficient operand of an unbalanced batch is
+        packed, all 15 blocks, by its first product only."""
+        plan = MethodPlan.toom(3, base_cutoff=16)
+        shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
+        _pack_blocks.cache_clear()
+        for seed in range(10):
+            short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
+            assert multiply(shared, short, plan) == schoolbook_mul(shared,
+                                                                   short)
+        info = _pack_blocks.cache_info()
+        assert (info.misses, info.hits) == (1 + 10, 9)
 
     def test_memo_size_is_bounded(self):
         _leaves.cache_clear()

@@ -34,6 +34,12 @@ LOADS = [0, 20, 40, 60, 80]
 REPORT_SHA256 = \
     "3d603082b0d180abb2b2083bab6a6f85509e4ec32567d405b9e57045f8ac2671"
 
+#: SHA-256 of the JSON reports of trace_scenarios() under the calibrated
+#: fixture, taken before the per-run plan memo: a fixed_plan run, and a
+#: rule_table run over a 1000-breakpoint trace on two nodes of equal cores.
+TRACE_REPORTS_SHA256 = \
+    "97add919a98ecd9c78461df444a9264d6d20e473ecb1b33d7d94f35543d8d31c"
+
 
 def curves(par_base=5e6, par_slope=0.4e6):
     return {
@@ -324,3 +330,85 @@ def test_json_report_bytes_pinned(calibrated):
     assert report.total_handovers > 0 and len(report.per_vehicle) == 8
     text = render_report(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+def walk_trace(seed, length, duration_ms):
+    """A seeded random walk of loads in [0, 80] over duration_ms."""
+    rng = random.Random(seed)
+    load, trace = 40.0, []
+    for i in range(length):
+        load = min(80.0, max(0.0, load + rng.uniform(-15, 15)))
+        trace.append((i * duration_ms / length, round(load, 1)))
+    return tuple(trace)
+
+
+def trace_scenarios():
+    """A rule_table scenario whose long trace drives a 5-core and a 1-core
+    node, beside a 5-core node on a short one; and a fixed_plan one."""
+    long_trace = walk_trace(7, 1000, 90_000.0)
+    rule = make_scenario(mec_nodes=(
+        MecNode(cores=5, load_trace=long_trace),
+        MecNode(cores=5, load_trace=walk_trace(8, 9, 90_000.0)),
+        MecNode(cores=1, load_trace=long_trace)), vehicles=12, seed=11)
+    fixed = make_scenario(policy_mode="fixed_plan", fixed_plan=TOOM_PAR,
+                          seed=5)
+    return rule, fixed
+
+
+def test_trace_reports_bytes_pinned(calibrated):
+    """fixed_plan and long-trace rule_table reports stay byte-identical."""
+    import hashlib
+
+    table, model = calibrated
+    rule, fixed = trace_scenarios()
+    text = (render_report(run_simulation(rule, table, model), "json")
+            + render_report(run_simulation(fixed, None, model), "json"))
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_REPORTS_SHA256
+
+
+class CountingModel:
+    """A time model that counts its predict calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def predict(self, plan, degree, load_pct):
+        self.calls += 1
+        return self.model.predict(plan, degree, load_pct)
+
+
+class TestDecisionsPerRun:
+    @pytest.mark.parametrize("mode", ["rule_table", "fixed_plan"])
+    def test_predict_runs_once_per_handover(self, calibrated, mode):
+        # a live timer times a fresh product on every call
+        table, model = calibrated
+        rule, fixed = trace_scenarios()
+        scenario = rule if mode == "rule_table" else fixed
+        counting = CountingModel(model)
+        report = run_simulation(scenario, table, counting)
+        assert report.total_handovers > 0
+        assert counting.calls == report.total_handovers
+
+    def test_select_method_once_per_node_and_load(self, calibrated,
+                                                  monkeypatch):
+        import pqmul.simulator as simulator
+
+        table, model = calibrated
+        select, calls = simulator.select_method, []
+
+        def counting_select(table_, state, previous=None):
+            calls.append((state.available_cores, state.load_pct))
+            return select(table_, state, previous)
+
+        monkeypatch.setattr(simulator, "select_method", counting_select)
+        # distinct core counts, so (cores, load) names (node, load)
+        scenario = make_scenario(mec_nodes=(
+            MecNode(cores=5, load_trace=walk_trace(7, 1000, 90_000.0)),
+            MecNode(cores=6, load_trace=((0, 0), (30_000, 40))),
+            MecNode(cores=1, load_trace=((0, 10),))))
+        report = run_simulation(scenario, table, model)
+        first = list(calls)
+        assert len(set(first)) == len(first) < report.total_handovers
+        calls.clear()
+        assert run_simulation(scenario, table, model) == report
+        assert calls == first       # each run decides afresh
