@@ -140,9 +140,10 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
 
     time_model is anything with predict(plan, degree, load_pct) -> ns (the
     calibrated TimeModel, or a live runner).  A handover's plan depends
-    only on its target node and that node's load, so a run decides it once
-    per (node, load) and reuses it; predict runs on every handover, since a
-    live runner times a fresh product on each call.  Deterministic per seed.
+    only on its target node's cores and load (the degree is fixed), so a
+    run decides it once per (cores, load), at most once per (node, load),
+    and reuses it; predict runs on every handover, since a live runner
+    times a fresh product on each call.  Deterministic per seed.
     """
     if scenario.policy_mode == "rule_table" and table is None:
         raise InvalidInputError("rule_table mode needs a rule table")
@@ -153,7 +154,7 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     rule_table = scenario.policy_mode == "rule_table"
     predict = time_model.predict
     n_mecs = len(nodes)
-    # (target node, load) -> (plan, plan.label), for this run only
+    # (cores, load) -> (plan, plan.label), for this run only
     decided: dict[tuple[int, float], tuple[MethodPlan, str]] = {}
     per_vehicle = []
     mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
@@ -174,12 +175,12 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
                 target = current
             node = nodes[target]
             load = node.load_at(t)
-            decision = decided.get((target, load))
+            decision = decided.get((node.cores, load))
             if decision is None:
                 plan = select_method(table, SystemState(
                     degree=degree, load_pct=load,
                     available_cores=node.cores)) if rule_table else fixed_plan
-                decision = decided[target, load] = plan, plan.label
+                decision = decided[node.cores, load] = plan, plan.label
             plan, label = decision
             try:
                 per_mult_ns = predict(plan, degree, load)

@@ -401,13 +401,11 @@ class TestDecisionsPerRun:
             return select(table_, state, previous)
 
         monkeypatch.setattr(simulator, "select_method", counting_select)
-        # distinct core counts, so (cores, load) names (node, load)
-        scenario = make_scenario(mec_nodes=(
-            MecNode(cores=5, load_trace=walk_trace(7, 1000, 90_000.0)),
-            MecNode(cores=6, load_trace=((0, 0), (30_000, 40))),
-            MecNode(cores=1, load_trace=((0, 10),))))
+        # two 5-core nodes, one sharing its long trace with a 1-core node
+        scenario, _ = trace_scenarios()
         report = run_simulation(scenario, table, model)
         first = list(calls)
+        # once per (cores, load), so at most once per (node, load)
         assert len(set(first)) == len(first) < report.total_handovers
         calls.clear()
         assert run_simulation(scenario, table, model) == report
