@@ -94,8 +94,12 @@ def _parse_int_list(text: str) -> list[int]:
         start, stop, step = (_int(p, text) for p in parts)
         if step < 1:
             raise InvalidInputError("range step must be >= 1")
-        return list(range(start, stop + 1, step))
-    return [_int(v, text) for v in text.split(",")]
+        values = list(range(start, stop + 1, step))
+    else:
+        values = [_int(v, text) for v in text.split(",")]
+    if not values:
+        raise InvalidInputError(f"{text!r} gives no values")
+    return values
 
 
 def _parse_plan(token: str) -> MethodPlan:

@@ -36,8 +36,8 @@ sums, differences, multiples and polynomial products, exactly and whatever
 the slot values: evaluation at 2^s is a ring homomorphism from Z[x] to Z.
 So evaluation, interpolation, recomposition (shifts and adds) and the leaf
 product (x * y) are each a few C-level big-int operations, and a slot that
-overflows in between never reaches the result.  The shorter operand and
-each block of the longer one (see below) are packed once per batch and
+overflows in between never reaches the result.  Each operand is packed
+once per product, or once per batch when it is shared (see below), and
 the result is unpacked once.  Reading slots back needs them to fit.  When
 every c_i lies in [-2^(s-1), 2^(s-1)), the c_i are the unique signed
 base-2^s digits of P.  Adding 2^(s-1) to every slot then makes them
@@ -104,22 +104,23 @@ d Q = X.  By uniqueness of signed digits they are the x_i.  Division by
 d = 2, 4, 8 is a shift by t = 1, 2, 3 with the low t bits of X as the
 remainder, which is what divmod gives; its quotient passes the same guard.
 
-Evaluation trees.  _engine_mul hands every (block, shorter operand) pair
-to a pair runner in one call.  Each pair then takes three steps: look up
-the leaf operands of both vectors' evaluation trees, multiply them pairwise
-(one big-int product per leaf), and interpolate and recombine level by
-level, bottom up, in groups of 2k-1.  _leaves maps a packed vector and its
-shape (n, k, cutoff, s) to the tuple of its leaf operands, the 2k-1
-children of each node next to each other.  It is a pure function behind an
-LRU memo of _MEMO_ENTRIES trees, so a whole operand shared by several
-products is evaluated once: the key fixed across an NTRU batch, the shorter
-operand against every block of a longer one, and each block of a long
-operand shared across a batch (Mera, Karmakar & Verbauwhede, TCHES 2020, on
-precomputed evaluations).  The memo changes no product and no count.
+Evaluation trees.  _engine_mul hands both operands' coefficients to a
+runner in one call.  The runner cuts each operand into blocks the length
+ls of the shorter one, packs them and evaluates each block's tree level by
+level, top down (_leaves), so the 2k-1 children of each node are next to
+each other.  It then multiplies the leaves pairwise (one big-int product
+per leaf) and interpolates and recombines level by level, bottom up, in
+groups of 2k-1: one product per block.  The in-process runner reads both
+operands' leaves from _operand_leaves, a pure function of (coefficients,
+ls, k, cutoff, s) behind an LRU memo of _MEMO_ENTRIES operands, so an
+operand shared by a batch of products, such as an NTRU public key, is
+packed and evaluated once: the whole long operand, all its blocks, or the
+short one (Mera, Karmakar & Verbauwhede, TCHES 2020, on precomputed
+evaluations).  The memo changes no product and no count.
 
 Counts are structural and identical to the coefficient-list engine this
 replaced: _engine_mul derives them from the product's shape, never from
-the pair runner.  A leaf of length m counts what the schoolbook row loop
+the runner.  A leaf of length m counts what the schoolbook row loop
 counts: m*m mults and m*m - (2m-1) adds.  A node with part length m adds 2m, 10m or
 22m for evaluating both operands (k = 2, 3, 4), 2, 9 or 20 times (2m-1) for
 interpolation, and 2(k-1)(m-1) for recomposition.
@@ -135,11 +136,12 @@ lengths
     fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
 
 and equal lengths are one block.  Every product, sequential or parallel,
-goes through the one entry point _engine_mul; only the pair runner it is
-given decides where the pairs run.  multiply gives it _run_pairs for a
+goes through the one entry point _engine_mul; only the runner it is given
+decides where the blocks run.  multiply gives it _run_local for a
 sequential plan, and _run_on_pool for a plan with workers > 1: that
 evaluates the top level of every block in the parent, has the pool of
-parallel run the subpairs, and interpolates the top level.
+parallel run the subpairs, and interpolates the top level.  It keeps no
+memo: bench cells and live timing draw fresh operands for every product.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import cycle
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -293,19 +296,10 @@ def _pack(coeffs, s: int) -> int:
     return _from_slots(raw, s, t)
 
 
-#: Operands _pack_blocks keeps packed: a batch's shared operand stays while
-#: fewer than this many other operands are packed between two of its
-#: products (each product packs at most one other).
-_PACKED_ENTRIES = 8
-
-
-@lru_cache(maxsize=_PACKED_ENTRIES)
-def _pack_blocks(coeffs: tuple[int, ...], ls: int,
-                 s: int) -> tuple[int, ...]:
+def _pack_blocks(coeffs, ls: int, s: int) -> tuple[int, ...]:
     """coeffs cut into blocks of ls (the last may be shorter), each packed:
     the bytes of all slots are made once and sliced per block, in time
-    linear in len(coeffs).  Memoised, so an operand shared by a batch of
-    products is packed once."""
+    linear in len(coeffs)."""
     raw, t = _slot_bytes(coeffs, s)
     step = ls * s // 8
     return tuple(_from_slots(raw[i:i + step], s, t)
@@ -357,7 +351,6 @@ def _unpack(x: int, n: int, s: int, e: int = 0) -> list[int]:
     return items.tolist()
 
 
-@lru_cache(maxsize=1024)
 def _cutter(count: int, m: int, s: int) -> tuple:
     """(shifts, offset, mask, part_offset) with which _cut cuts a vector of
     at most count*m slots into count parts of m slots."""
@@ -643,58 +636,63 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
     return products
 
 
-#: Evaluation trees _leaves keeps, one per operand or block: a long operand
-#: shared across a batch stays in the memo while its blocks + 1 <= 64.  One
-#: tree of N = 1024 at q = 2^13 takes 39-67 kB at the default cutoff
-#: (Karatsuba's 49 kB), 67-86 kB at 16.
-_MEMO_ENTRIES = 64
+def _leaves(vectors, levels) -> list[int]:
+    """The leaf operands of the evaluation trees of the packed vectors: every
+    one of the given levels evaluated top down, so the 2k-1 children of each
+    node, and the leaves of each vector, are next to each other."""
+    for level in levels:
+        vectors = _evaluate_level(vectors, level)
+    return list(vectors)
+
+
+#: Operands _operand_leaves keeps: a batch's shared operand stays while
+#: fewer than this many others are looked up between two of its products
+#: (each product looks up at most one other).  One N = 1024 operand at
+#: q = 2^13 takes at most 86 kB, whole or in blocks: the memo stays < 1 MB.
+_MEMO_ENTRIES = 8
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _leaves(x: int, n: int, k: int, cutoff: int, s: int) -> tuple[int, ...]:
-    """The leaf operands of the evaluation tree of packed length-n x: every
-    level of _levels(n, k, cutoff, s) evaluated top down, so the 2k-1
-    children of each node are next to each other.
+def _operand_leaves(coeffs: tuple[int, ...], ls: int, k: int, cutoff: int,
+                    s: int) -> tuple[int, ...]:
+    """The leaves of every ls-block of an operand, block after block: its
+    blocks packed once and each block's tree evaluated once.  Memoised by
+    the coefficients and the shape, so an operand shared by a batch of
+    products is packed and evaluated by the first of them only."""
+    return tuple(_leaves(_pack_blocks(coeffs, ls, s),
+                         _levels(ls, k, cutoff, s)))
 
-    A pure function of its arguments, memoised, so a vector shared by
-    several products is evaluated once.
-    """
-    vectors = [x]
-    for level in _levels(n, k, cutoff, s):
-        vectors = _evaluate_level(vectors, level)
-    return tuple(vectors)
+
+def _run_local(long, short, k: int, cutoff: int, ls: int,
+               s: int) -> list[int]:
+    """In-process runner: the product of every ls-block of long with short,
+    in s-bit slots, from both operands' memoised leaves."""
+    xs = _operand_leaves(long, ls, k, cutoff, s)
+    ys = _operand_leaves(short, ls, k, cutoff, s)
+    return _interpolate_levels(list(map(mul, xs, cycle(ys))),
+                               _levels(ls, k, cutoff, s))
 
 
 def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
                s: int) -> list[int]:
-    """In-process pair runner: the products of packed length-n vector pairs
-    in s-bit slots.
-
-    Looks up the leaf operands of both vectors of every pair, multiplies
-    them pairwise and interpolates up level by level.  _run_on_pool runs
-    it on each worker's share of the top-level subpairs.
-    """
+    """A pool worker's runner: the products of packed length-n vector pairs
+    in s-bit slots, evaluated, multiplied leaf by leaf and interpolated."""
     levels = _levels(n, k, cutoff, s)
     xs, ys = zip(*pairs)
-    if levels:
-        # every x before any y: an operand shared with the previous product
-        # is then among the most recently used trees when the other
-        # operand's trees enter the memo and evict the oldest
-        xs = [leaf for x in xs for leaf in _leaves(x, n, k, cutoff, s)]
-        ys = [leaf for y in ys for leaf in _leaves(y, n, k, cutoff, s)]
-    return _interpolate_levels(list(map(mul, xs, ys)), levels)
+    return _interpolate_levels(
+        list(map(mul, _leaves(xs, levels), _leaves(ys, levels))), levels)
 
 
 def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
-                counter: OperationCounter, run_pairs) -> Polynomial:
+                counter: OperationCounter, run) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
-    Packs the shorter operand and the blocks of the longer one (memoised
-    per operand, so once per batch), hands all (block, shorter operand)
-    pairs to run_pairs(pairs, k, cutoff, ls, s) in one call, then sums the
-    block products and unpacks once; the result does not depend on where
-    run_pairs runs them.  The counts come from the shape alone:
-    _tree_counts per block plus the adds that join the blocks.
+    Hands both coefficient tuples to run(long, short, k, cutoff, ls, s),
+    which returns the product of every ls-block of the longer operand with
+    the shorter one, then sums the block products and unpacks once; the
+    result does not depend on where run computes them.  The counts come
+    from the shape alone: _tree_counts per block plus the adds that join
+    the blocks.
     """
     a._check_ring(b)
     long, short, q = a.coeffs, b.coeffs, a.modulus
@@ -706,12 +704,11 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     else:
         amax = bmax = q - 1             # reduced coefficients lie in [0, q)
     s = _engine_bits(amax, bmax, ls, k, cutoff)
-    (y,) = _pack_blocks(short, ls, s)
-    pairs = [(x, y) for x in _pack_blocks(long, ls, s)]
-    products = run_pairs(pairs, k, cutoff, ls, s)
+    products = run(long, short, k, cutoff, ls, s)
+    blocks = len(products)
     mults, adds = _tree_counts(ls, k, cutoff)
-    counter.fundamental_mults += len(pairs) * mults
-    counter.fundamental_adds += len(pairs) * adds + (len(pairs) - 1) * (ls - 1)
+    counter.fundamental_mults += blocks * mults
+    counter.fundamental_adds += blocks * adds + (blocks - 1) * (ls - 1)
     x, n = _join_blocks(products, s * ls), len(long) + ls - 1
     e = _mask_bits(q)
     if e:
@@ -719,25 +716,22 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     return Polynomial(_unpack(x, n, s), q)
 
 
-def _run_on_pool(workers: int, pairs, k: int, cutoff: int, n: int, s: int):
-    """The engine's pair runner on the workers-process pool.
+def _run_on_pool(workers: int, long, short, k: int, cutoff: int, ls: int,
+                 s: int) -> list[int]:
+    """The engine's runner on the workers-process pool, with no memo.
 
-    The pairs are packed ints of n slots of s bits, and all of them share
-    their second vector.  Above the cutoff the parent cuts and evaluates the
-    top level of every first vector, and of the shared second one once;
-    run_round_robin has worker w multiply subpairs w, w+workers,
-    w+2*workers, ... in one batch, and the parent interpolates the top
-    level.  Returns the products in pair order.
+    The parent packs the blocks of long and short and, above the cutoff,
+    cuts and evaluates their top level, short's once; run_round_robin has
+    worker w multiply subpairs w, w+workers, w+2*workers, ... in one batch
+    through _run_pairs, and the parent interpolates the top level.
+    Returns one product per block.
     """
-    top = _levels(n, k, cutoff, s)[:1]
-    if top:
-        ys = _evaluate_level([pairs[0][1]], top[0])
-        xs = _evaluate_level([x for x, _ in pairs], top[0])
-        subpairs = list(zip(xs, ys * len(pairs)))
-        m = -(-n // k)
-    else:
-        subpairs, m = pairs, n
-    products = run_round_robin(workers, _run_pairs, subpairs, k, cutoff, m, s)
+    top = _levels(ls, k, cutoff, s)[:1]
+    xs = _leaves(_pack_blocks(long, ls, s), top)
+    ys = _leaves(_pack_blocks(short, ls, s), top)
+    m = -(-ls // k) if top else ls
+    products = run_round_robin(workers, _run_pairs, list(zip(xs, cycle(ys))),
+                               k, cutoff, m, s)
     return _interpolate_levels(products, top)
 
 
@@ -758,9 +752,9 @@ def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,
         counter = OperationCounter()
     if plan.method == SCHOOLBOOK:
         return schoolbook_mul(a, b, counter)
-    run_pairs = _run_pairs if plan.workers == 1 else \
+    run = _run_local if plan.workers == 1 else \
         partial(_run_on_pool, plan.workers)
-    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter, run_pairs)
+    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter, run)
 
 
 def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan

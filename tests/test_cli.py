@@ -150,6 +150,14 @@ class TestCountCheck:
                      "--lengths", "64"]) == 2
         assert ":wN" in capsys.readouterr().err
 
+    def test_empty_range_exits_2(self, capsys):
+        # a stop below the start names no length, so nothing is checked
+        assert main(["count-check", "--plan", "karatsuba",
+                     "--lengths", "5:1:1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gives no values" in err
+
     def test_seed_and_modulus_rejected(self):
         # the counts follow from the lengths, so nothing random is exposed
         for extra in (["--seed", "5"], ["--modulus", "3"]):

@@ -36,7 +36,7 @@ from pqmul.multipliers import (
     _engine_bits,
     _exact_div,
     _exact_shift,
-    _leaves,
+    _operand_leaves,
     _pack,
     _pack_blocks,
     _range_check,
@@ -814,49 +814,58 @@ class TestLeafMemo:
     def test_cleared_and_warm_memo_agree(self, plan, la, lb):
         a = Polynomial.random(la, 8192, seed=la, modulus=8192)
         b = Polynomial.random(lb, 8192, seed=lb + 1, modulus=8192)
-        _leaves.cache_clear()
+        _operand_leaves.cache_clear()
         cold_counter, warm_counter = OperationCounter(), OperationCounter()
         cold = multiply(a, b, plan, cold_counter)
-        assert _leaves.cache_info().currsize > 0
+        assert _operand_leaves.cache_info().currsize > 0
         warm = multiply(a, b, plan, warm_counter)
-        assert _leaves.cache_info().hits > 0
+        assert _operand_leaves.cache_info().hits > 0
         assert cold.coeffs == warm.coeffs == schoolbook_mul(a, b).coeffs
         assert cold_counter == warm_counter
 
-    def test_memo_holds_an_unbalanced_batch(self):
+    def test_shared_operand_packed_and_evaluated_once(self):
         """A 1024-coefficient operand shared by ten products with fresh
-        70-coefficient ones: its 15 block trees are evaluated once, then
-        each product misses only its fresh operand's tree."""
+        70-coefficient ones: its first product packs and evaluates all 15
+        of its blocks, then each product misses only its fresh operand."""
         plan = MethodPlan.toom(3, base_cutoff=16)
         shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
-        _leaves.cache_clear()
-        for seed in range(10):
-            short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
-            multiply(shared, short, plan)
-        assert _leaves.cache_info().misses == 15 + 10
-
-    def test_shared_operand_packed_once(self):
-        """The shared 1024-coefficient operand of an unbalanced batch is
-        packed, all 15 blocks, by its first product only."""
-        plan = MethodPlan.toom(3, base_cutoff=16)
-        shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
-        _pack_blocks.cache_clear()
+        _operand_leaves.cache_clear()
         for seed in range(10):
             short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
             assert multiply(shared, short, plan) == schoolbook_mul(shared,
                                                                    short)
-        info = _pack_blocks.cache_info()
+        info = _operand_leaves.cache_info()
         assert (info.misses, info.hits) == (1 + 10, 9)
 
+    def test_memo_keys_the_splitting_factor(self):
+        """Karatsuba and Toom-3 at cutoff 16 give N = 20, q = 4 the same
+        16-bit slots, so only k tells the two plans' trees apart."""
+        karatsuba, toom3 = ENGINE_PLANS[:2]
+        assert _engine_bits(3, 3, 20, 2, 16) == _engine_bits(3, 3, 20, 3, 16)
+        a = Polynomial.random(20, 4, seed=3, modulus=4)
+        b = Polynomial.random(20, 4, seed=4, modulus=4)
+        _operand_leaves.cache_clear()
+        for plan in (karatsuba, toom3, karatsuba):
+            assert multiply(a, b, plan) == schoolbook_mul(a, b)
+
     def test_memo_size_is_bounded(self):
-        _leaves.cache_clear()
+        _operand_leaves.cache_clear()
         shared = Polynomial.random(64, 4096, seed=1, modulus=4096)
         for seed in range(200):
             b = Polynomial.random(64, 4096, seed=seed + 2, modulus=4096)
             multiply(shared, b, MethodPlan.toom(4, base_cutoff=4))
-        info = _leaves.cache_info()
+        info = _operand_leaves.cache_info()
         assert info.misses >= 200
         assert info.currsize <= _MEMO_ENTRIES
+
+    @pytest.mark.parametrize("la, lb", [(300, 300), (70, 300)])
+    def test_pool_products_bypass_the_memo(self, la, lb):
+        plan = MethodPlan.toom(3, workers=2, base_cutoff=16)
+        a = Polynomial.random(la, 4096, seed=la, modulus=4096)
+        b = Polynomial.random(lb, 4096, seed=lb + 1, modulus=4096)
+        before = _operand_leaves.cache_info()
+        assert multiply(a, b, plan) == schoolbook_mul(a, b)
+        assert _operand_leaves.cache_info() == before
 
 
 class TestEngineProperties:
