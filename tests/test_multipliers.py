@@ -28,6 +28,7 @@ from pqmul import (
     predicted_mult_count,
     recursion_depth,
     schoolbook_mul,
+    multipliers,
     split,
 )
 from pqmul.multipliers import (
@@ -823,17 +824,39 @@ class TestLeafMemo:
         assert cold.coeffs == warm.coeffs == schoolbook_mul(a, b).coeffs
         assert cold_counter == warm_counter
 
-    def test_shared_operand_packed_and_evaluated_once(self):
+    def test_memo_holds_an_unbalanced_batch(self, monkeypatch):
         """A 1024-coefficient operand shared by ten products with fresh
-        70-coefficient ones: its first product packs and evaluates all 15
-        of its blocks, then each product misses only its fresh operand."""
+        70-coefficient ones: its 15 block trees are evaluated once, then
+        each product evaluates only its fresh operand's tree."""
         plan = MethodPlan.toom(3, base_cutoff=16)
         shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
+        trees = []
+        leaves = multipliers._leaves
+        monkeypatch.setattr(multipliers, "_leaves", lambda vectors, levels: (
+            trees.append(len(vectors)) or leaves(vectors, levels)))
         _operand_leaves.cache_clear()
         for seed in range(10):
             short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
             assert multiply(shared, short, plan) == schoolbook_mul(shared,
                                                                    short)
+        assert trees == [15] + [1] * 10
+
+    def test_shared_operand_packed_once(self, monkeypatch):
+        """The shared 1024-coefficient operand of an unbalanced batch is
+        packed, all 15 blocks, by its first product only: each product
+        misses only its fresh operand."""
+        plan = MethodPlan.toom(3, base_cutoff=16)
+        shared = Polynomial.random(1024, 4096, seed=1, modulus=4096)
+        packed = []
+        pack = multipliers._pack_blocks
+        monkeypatch.setattr(multipliers, "_pack_blocks", lambda c, ls, s: (
+            packed.append(len(c)) or pack(c, ls, s)))
+        _operand_leaves.cache_clear()
+        for seed in range(10):
+            short = Polynomial.random(70, 4096, seed=seed + 2, modulus=4096)
+            assert multiply(shared, short, plan) == schoolbook_mul(shared,
+                                                                   short)
+        assert packed.count(1024) == 1
         info = _operand_leaves.cache_info()
         assert (info.misses, info.hits) == (1 + 10, 9)
 
