@@ -1,13 +1,11 @@
 """Monte Carlo timing harness: (method, degree, load) grid under live load.
 
-For each (degree, load) the harness starts the load profile, does two
-untimed warm-up rounds, then times `runs` rounds of freshly sampled
-operands on the monotonic clock.  A round multiplies once with every plan,
-starting one plan later than the round before, so a drift in the host's
-speed reaches every plan's cell alike instead of the one cell it lands on.
-Fresh operands per run are derived deterministically from the spec seed and
-the cell indices, so two runs of the same spec produce identical operands
-and identical mult_count columns (only the timings differ).
+For each cell the harness starts the load profile, does two untimed warm-up
+multiplications, then times `runs` multiplications of freshly sampled
+operands on the monotonic clock.  Cells run strictly sequentially; fresh
+operands per run are derived deterministically from the spec seed and the
+cell indices, so two runs of the same spec produce identical operands and
+identical mult_count columns (only the timings differ).
 """
 
 from __future__ import annotations
@@ -114,9 +112,8 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
     """Execute the whole grid and return one record per timed run.
 
     Record order is deterministic: degrees x loads x plans x runs, nested in
-    that order, whatever order the runs were timed in.  The load profile is
-    started before and stopped after each (degree, load); only the
-    multiplication call itself is timed.
+    that order.  The load profile is started before and stopped after each
+    cell; only the multiplication call itself is timed.
     """
     _check_timer()
     if usable_cpu_count() < spec.loaded_workers + 1:
@@ -127,15 +124,11 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
     records = []
     for di, degree in enumerate(spec.degrees):
         for li, load in enumerate(spec.load_levels_pct):
-            cells = [[] for _ in spec.plans]
-            handle = start_load(LoadProfile(spec.loaded_workers, load))
-            try:
-                # runs below 0 are the untimed warm-up; each run times every
-                # plan once, starting one plan later than the run before
-                for run in range(-WARMUP_RUNS, spec.runs):
-                    for j in range(len(spec.plans)):
-                        pi = (run + j) % len(spec.plans)
-                        plan = spec.plans[pi]
+            for pi, plan in enumerate(spec.plans):
+                handle = start_load(LoadProfile(spec.loaded_workers, load))
+                try:
+                    # runs below 0 are the untimed warm-up
+                    for run in range(-WARMUP_RUNS, spec.runs):
                         a = Polynomial.random(degree, bound, derive_seed(
                             spec.seed, di, li, pi, run, 0), spec.modulus)
                         b = Polynomial.random(degree, bound, derive_seed(
@@ -146,16 +139,14 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
                         elapsed = time.perf_counter_ns() - t0
                         if run < 0:
                             continue
-                        cells[pi].append(BenchmarkRecord(
+                        records.append(BenchmarkRecord(
                             method=plan.method, k=plan.k, workers=plan.workers,
                             base_cutoff=plan.base_cutoff, degree=degree,
                             load_pct=load, run_index=run,
                             elapsed_ns=max(elapsed, 1),
                             mult_count=counter.fundamental_mults))
-            finally:
-                handle.stop()
-            for cell in cells:
-                records.extend(cell)
+                finally:
+                    handle.stop()
     return records
 
 

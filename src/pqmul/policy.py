@@ -1,7 +1,7 @@
 """Load-aware method selection: calibrated rule table + time model.
 
 Calibration turns benchmark records into per-degree-band load thresholds:
-the load at which sequential Karatsuba's median time first beats parallel
+the load at which sequential Karatsuba's mean time first beats parallel
 Toom-Cook's (linear interpolation between sampled loads), and likewise for
 sequential Toom-Cook vs its parallel variant.  Selection is then a pure
 table lookup: parallel Toom-Cook below the first threshold, Karatsuba above
@@ -19,7 +19,6 @@ import json
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from statistics import median
 
 from .bench import BenchmarkRecord
 from .errors import (
@@ -139,18 +138,18 @@ class RuleTable:
 # calibration
 # ---------------------------------------------------------------------------
 
-def _median_curve(records: list[BenchmarkRecord]) -> dict[int, float]:
-    """Median time per load: one spike in a cell of a few runs can move
-    its mean by half, its median only to a neighbouring run's time."""
-    times: dict[int, list] = {}
+def _mean_curve(records: list[BenchmarkRecord]) -> dict[int, float]:
+    sums: dict[int, list] = {}
     for r in records:
-        times.setdefault(r.load_pct, []).append(r.elapsed_ns)
-    return {load: float(median(ts)) for load, ts in times.items()}
+        acc = sums.setdefault(r.load_pct, [0, 0])
+        acc[0] += r.elapsed_ns
+        acc[1] += 1
+    return {load: s / n for load, (s, n) in sums.items()}
 
 
 def _first_crossover(loads: list[int], parallel: dict[int, float],
                      rival: dict[int, float]) -> float:
-    """First load at which the rival's median time beats the parallel plan's.
+    """First load at which the rival's mean time beats the parallel plan's.
 
     Linear interpolation between the adjacent sampled loads; 100 if the
     parallel plan wins everywhere in the sweep, 0 if it never wins.
@@ -206,7 +205,7 @@ def calibrate(records: list[BenchmarkRecord],
         if missing:
             raise CalibrationError(
                 f"band [{lo}, {hi}]: no records for plan(s) {missing}")
-        curves = {role: _median_curve(slot["records"])
+        curves = {role: _mean_curve(slot["records"])
                   for role, slot in roles.items()}
         common = sorted(set(curves["karatsuba"])
                         & set(curves["parallel"])
@@ -276,10 +275,10 @@ def select_method(table: RuleTable, state: SystemState,
 
 
 class TimeModel:
-    """Piecewise-linear median-time curves per (plan, degree), from records."""
+    """Piecewise-linear mean-time curves per (plan, degree), from records."""
 
     def __init__(self, curves: dict[tuple, tuple[tuple, tuple]]):
-        self._curves = curves   # key -> (sorted loads, their median times)
+        self._curves = curves   # key -> (sorted loads, their mean times)
 
     @classmethod
     def from_records(cls, records: list[BenchmarkRecord]) -> "TimeModel":
@@ -287,11 +286,11 @@ class TimeModel:
         for r in records:
             key = (r.method, r.k, r.workers, r.base_cutoff, r.degree)
             groups.setdefault(key, []).append(r)
-        return cls({key: tuple(zip(*sorted(_median_curve(rs).items())))
+        return cls({key: tuple(zip(*sorted(_mean_curve(rs).items())))
                     for key, rs in groups.items()})
 
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
-        """Estimated median duration (ns); exact at sampled loads.
+        """Estimated mean duration (ns); exact at sampled loads.
 
         Loads outside the sampled sweep clamp to the nearest endpoint.
         """

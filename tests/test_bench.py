@@ -5,7 +5,6 @@ from dataclasses import astuple
 
 import pytest
 
-import pqmul.bench
 from pqmul import (
     BenchmarkRecord,
     BenchmarkSpec,
@@ -19,7 +18,7 @@ from pqmul import (
     predicted_mult_count,
     run_benchmark,
 )
-from pqmul.bench import CSV_COLUMNS, WARMUP_RUNS
+from pqmul.bench import CSV_COLUMNS
 from pqmul.loadgen import usable_cpu_count
 
 
@@ -79,25 +78,6 @@ class TestRunBenchmark:
                     for r in records]
         assert got_keys == expected_keys
         assert all(r.elapsed_ns > 0 for r in records)
-
-    def test_rounds_time_every_plan_in_turn(self, monkeypatch):
-        """Each round multiplies once with every plan, starting one plan
-        later than the round before."""
-        plans = (MethodPlan.karatsuba(base_cutoff=8),
-                 MethodPlan.toom(3, base_cutoff=8),
-                 MethodPlan.toom(4, base_cutoff=8))
-        timed = []
-        multiply = pqmul.bench.multiply
-        monkeypatch.setattr(pqmul.bench, "multiply", lambda a, b, plan, c: (
-            timed.append(plans.index(plan)) or multiply(a, b, plan, c)))
-        spec = small_spec(plans=plans, load_levels_pct=(0,), runs=4)
-        records = run_benchmark(spec)
-        rounds = [timed[i:i + 3] for i in range(0, len(timed), 3)]
-        assert len(rounds) == WARMUP_RUNS + 4
-        assert all(sorted(r) == [0, 1, 2] for r in rounds)
-        assert [r[0] for r in rounds] == [run % 3 for run in range(-WARMUP_RUNS, 4)]
-        assert [(r.method, r.k, r.run_index) for r in records] == [
-            (p.method, p.k, run) for p in plans for run in range(4)]
 
     def test_mult_count_matches_predictor_and_is_cell_constant(self):
         records = run_benchmark(small_spec())

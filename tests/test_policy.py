@@ -281,10 +281,9 @@ class TestTimeModel:
         assert model.predict(KARATSUBA, 512, 50) == 10e6 + 0.02e6 * 50
 
     def test_exact_at_interior_sample_with_inexact_means(self):
-        """Cells with means 58/3, 114/3 and 20 ns, each of the first two
-        off by one spike: the model gives every cell's median, the
-        interior one included."""
-        times = {0: (4, 4, 50), 10: (12, 90, 12), 20: (20, 20, 20)}
+        """Means 13/3, 37/3 and 20 ns: interpolating up to load 10 from
+        load 0 gives 12.333333333333332, not the sample's own 37/3."""
+        times = {0: (4, 4, 5), 10: (12, 12, 13), 20: (20, 20, 20)}
         model = TimeModel.from_records([
             BenchmarkRecord(method=KARATSUBA.method, k=KARATSUBA.k,
                             workers=1, base_cutoff=KARATSUBA.base_cutoff,
@@ -292,7 +291,7 @@ class TestTimeModel:
                             elapsed_ns=ns, mult_count=1000)
             for load, run in times.items() for i, ns in enumerate(run)])
         assert [model.predict(KARATSUBA, 512, load)
-                for load in (0, 10, 20)] == [4.0, 12.0, 20.0]
+                for load in (0, 10, 20)] == [13 / 3, 37 / 3, 20.0]
 
     def test_linear_midpoint(self):
         records = records_from_curves({
