@@ -17,7 +17,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 
-from .errors import CapacityError, InvalidInputError, TimerResolutionError
+from .errors import InvalidInputError, TimerResolutionError
 from .loadgen import LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan, multiply
 from .poly import OperationCounter, Polynomial, _check_modulus, derive_seed
@@ -113,13 +113,11 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
 
     Record order is deterministic: degrees x loads x plans x runs, nested in
     that order.  The load profile is started before and stopped after each
-    cell; only the multiplication call itself is timed.
+    cell; only the multiplication call itself is timed.  A host that cannot
+    keep a core free of the loaded workers raises CapacityError from the
+    first cell's start_load, before any product runs.
     """
     _check_timer()
-    if usable_cpu_count() < spec.loaded_workers + 1:
-        raise CapacityError(
-            f"host has {usable_cpu_count()} usable cores; "
-            f"{spec.loaded_workers} loaded workers + 1 free core needed")
     bound = spec.modulus if spec.modulus is not None else DEFAULT_COEFF_BOUND
     records = []
     for di, degree in enumerate(spec.degrees):

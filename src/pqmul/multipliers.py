@@ -104,13 +104,12 @@ d Q = X.  By uniqueness of signed digits they are the x_i.  Division by
 d = 2, 4, 8 is a shift by t = 1, 2, 3 with the low t bits of X as the
 remainder, which is what divmod gives; its quotient passes the same guard.
 
-Evaluation trees.  _engine_mul hands both operands' coefficients to a
-runner in one call.  The runner cuts each operand into blocks the length
+Evaluation trees.  _engine_mul cuts each operand into blocks the length
 ls of the shorter one, packs them and evaluates each block's tree level by
 level, top down (_leaves), so the 2k-1 children of each node are next to
 each other.  It then multiplies the leaves pairwise (one big-int product
 per leaf) and interpolates and recombines level by level, bottom up, in
-groups of 2k-1: one product per block.  The in-process runner reads both
+groups of 2k-1: one product per block.  A sequential product reads both
 operands' leaves from _operand_leaves, a pure function of (coefficients,
 ls, k, cutoff, s) behind an LRU memo of _MEMO_ENTRIES operands, so an
 operand shared by a batch of products, such as an NTRU public key, is
@@ -120,10 +119,10 @@ evaluations).  The memo changes no product and no count.
 
 Counts are structural and identical to the coefficient-list engine this
 replaced: _engine_mul derives them from the product's shape, never from
-the runner.  A leaf of length m counts what the schoolbook row loop
-counts: m*m mults and m*m - (2m-1) adds.  A node with part length m adds 2m, 10m or
-22m for evaluating both operands (k = 2, 3, 4), 2, 9 or 20 times (2m-1) for
-interpolation, and 2(k-1)(m-1) for recomposition.
+where the product ran.  A leaf of length m counts what the schoolbook row
+loop counts: m*m mults and m*m - (2m-1) adds.  A node with part length m
+adds 2m, 10m or 22m for evaluating both operands (k = 2, 3, 4), 2, 9 or 20
+times (2m-1) for interpolation, and 2(k-1)(m-1) for recomposition.
 
 Operands of unequal length are multiplied block-wise, like GMP's unbalanced
 Toom (Bodrato & Zanoni, ISSAC 2007): the longer one, of length L, is cut
@@ -136,12 +135,14 @@ lengths
     fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
 
 and equal lengths are one block.  Every product, sequential or parallel,
-goes through the one entry point _engine_mul; only the runner it is given
-decides where the blocks run.  multiply gives it _run_local for a
-sequential plan, and _run_on_pool for a plan with workers > 1: that
-evaluates the top level of every block in the parent, has the pool of
-parallel run the subpairs, and interpolates the top level.  It keeps no
-memo: bench cells and live timing draw fresh operands for every product.
+goes through _engine_mul, and only plan.workers decides where the leaves
+are multiplied.  With workers > 1 it evaluates the top level of every
+block in the parent, has the pool of parallel run the subpairs through
+_run_pairs, and interpolates the top level.  That path keeps no memo:
+bench cells and live timing draw fresh operands for every product.
+
+The public list helpers evaluate_parts and interpolate apply the same
+formulas as the engine to one coefficient of each vector at a time.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import cycle
+from functools import lru_cache
+from itertools import cycle, zip_longest
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -290,12 +291,6 @@ def _from_slots(raw, s: int, t: int) -> int:
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _pack(coeffs, s: int) -> int:
-    """sum(c_i * 2^(s*i)), exact for any ints with |c_i| < 2^(s-1)."""
-    raw, t = _slot_bytes(coeffs, s)
-    return _from_slots(raw, s, t)
-
-
 def _pack_blocks(coeffs, ls: int, s: int) -> tuple[int, ...]:
     """coeffs cut into blocks of ls (the last may be shorter), each packed:
     the bytes of all slots are made once and sliced per block, in time
@@ -393,7 +388,8 @@ def _exact_div(x: int, d: int, guard: tuple[int, int]) -> int:
 
     guard is _range_check(slots, s, h) with h = s - _Steps.guard of the
     method; the module docstring shows why a zero remainder plus quotient
-    slots in [-2^h, 2^h) hold exactly when d divides every slot.
+    slots in [-2^h, 2^h) hold exactly when d divides every slot.  For one
+    plain int, guard (0, 0) leaves the zero remainder as the whole test.
     """
     q, r = divmod(x, d)
     if r or (q + guard[0]) & guard[1]:
@@ -465,19 +461,19 @@ def _interpolate4(products, guard):
 class _Steps(NamedTuple):
     """The evaluation and interpolation of one splitting factor k."""
 
-    evaluate: Callable       # k packed parts -> 2k-1 evaluations
-    interpolate: Callable    # 2k-1 packed products, guard -> 2k-1 slices
+    evaluate: Callable       # k parts -> 2k-1 evaluations
+    interpolate: Callable    # 2k-1 products, guard -> 2k-1 slices
     growth: int              # bound on max|evaluation| / max|part|
     evaluate_adds: int       # counted adds per part coefficient
     interpolate_adds: int    # counted adds per product coefficient
-    headroom: int            # slot bits above the bound V of the values
+    headroom: int            # slot bits above the bound of the read values
     guard: int               # quotient slots lie in [-2^(s-guard), ...)
 
 
-#: k = 2's headroom and guard serve only interpolate(): the engine reads
-#: no Karatsuba interpolation slot (see _engine_bits).
+#: k = 2's headroom is the sign bit over the cuts and the unpack, the only
+#: Karatsuba slots read (see _engine_bits); it divides nowhere.
 _STEPS = {
-    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 3, 1),    # p(1) = p0+p1
+    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 1, 1),    # p(1) = p0+p1
     3: _Steps(_evaluate3, _interpolate3, 7, 5, 9, 4, 3),    # p(2) = p0+..+4p2
     4: _Steps(_evaluate4, _interpolate4, 40, 11, 20, 13, 4),    # p(3)
 }
@@ -509,24 +505,17 @@ def split(p: Polynomial | list[int], k: int) -> list[list[int]]:
     return [coeffs[i * m:(i + 1) * m] for i in range(k)]
 
 
-def _max_abs(vectors) -> int:
-    return max((max(map(abs, v), default=0) for v in vectors), default=0)
-
-
 def evaluate_parts(parts: list[list[int]], k: int) -> list[list[int]]:
     """Evaluate k part vectors at the 2k-1 points of k, in the order of the
     module docstring's table.
 
     Each output is a small-integer linear combination of the parts (points
-    0 and inf are p0 and p_{k-1} verbatim).
+    0 and inf are p0 and p_{k-1} verbatim); shorter parts are padded with 0.
     """
     if len(parts) != k:
         raise InvalidInputError(f"expected {k} parts, got {len(parts)}")
-    steps = _steps(k)
-    m = max(map(len, parts))
-    s = _slot_bits(steps.growth * _max_abs(parts), steps.headroom)
-    return [_unpack(e, m, s)
-            for e in steps.evaluate(*[_pack(p, s) for p in parts])]
+    evaluate = _steps(k).evaluate
+    return _rows([evaluate(*c) for c in zip_longest(*parts, fillvalue=0)], k)
 
 
 def interpolate(pointwise_products: list[list[int]],
@@ -536,18 +525,22 @@ def interpolate(pointwise_products: list[list[int]],
     Solves the evaluation system of k's points (the module docstring's
     table) exactly over the integers; the product is the sum of slice i
     times x^(i*part_len).  A nonzero remainder in any division is an
-    implementation defect and raises.
+    implementation defect and raises.  Each coefficient is one int, so the
+    zero remainder of each division is the whole check (guard (0, 0)).
     """
     if len(pointwise_products) != 2 * k - 1:
         raise InvalidInputError(
             f"expected {2 * k - 1} pointwise products, got "
             f"{len(pointwise_products)}")
-    steps = _steps(k)
-    n = max(map(len, pointwise_products))
-    s = _slot_bits(_max_abs(pointwise_products), steps.headroom)
-    slices = steps.interpolate([_pack(p, s) for p in pointwise_products],
-                               _range_check(n, s, s - steps.guard))
-    return [_unpack(v, n, s) for v in slices]
+    solve = _steps(k).interpolate
+    return _rows([solve(c, (0, 0))
+                  for c in zip_longest(*pointwise_products, fillvalue=0)], k)
+
+
+def _rows(columns, k: int) -> list[list[int]]:
+    """The 2k-1 result vectors of per-coefficient columns; 2k-1 empty
+    vectors when there is no column."""
+    return [[c[i] for c in columns] for i in range(2 * k - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +572,15 @@ def _levels(n: int, k: int, cutoff: int, s: int) -> tuple[_Level, ...]:
                    s * m),) + _levels(m, k, cutoff, s)
 
 
+def _depth_leaf(n: int, k: int, cutoff: int) -> tuple[int, int]:
+    """(depth, leaf): the levels a length-n product splits through on its
+    way n -> ceil(n/k) down to the cutoff, and its leaves' length."""
+    depth = 0
+    while n > cutoff:
+        n, depth = -(-n // k), depth + 1
+    return depth, n
+
+
 def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
     """The slot width of an engine product of two length-n vectors with
     largest magnitudes amax and bmax, from the values whose slots are read.
@@ -589,13 +591,13 @@ def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
     interpolation values: _slot_bits of the leaf bound
     max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len with k's headroom."""
     steps = _STEPS[k]
-    depth, leaf = 0, n
-    while leaf > cutoff:
-        leaf, depth = -(-leaf // k), depth + 1
+    depth, leaf = _depth_leaf(n, k, cutoff)
     if k == 2:
-        return _slot_bits(max(max(amax, bmax) << depth, amax * bmax * n), 1)
-    return _slot_bits(max(amax, 1) * max(bmax, 1)
-                      * steps.growth ** (2 * depth) * leaf, steps.headroom)
+        bound = max(max(amax, bmax) << depth, amax * bmax * n)
+    else:
+        bound = (max(amax, 1) * max(bmax, 1)
+                 * steps.growth ** (2 * depth) * leaf)
+    return _slot_bits(bound, steps.headroom)
 
 
 @lru_cache(maxsize=1024)
@@ -615,13 +617,6 @@ def _tree_counts(n: int, k: int, cutoff: int) -> tuple[int, int]:
         + steps.interpolate_adds * (2 * m - 1) + 2 * (k - 1) * (m - 1))
 
 
-def _evaluate_level(vectors: list[int], level: _Level) -> list[int]:
-    """One level down: each packed vector cut into k parts and evaluated at
-    the 2k-1 points, the evaluations of one vector next to each other."""
-    evaluate, cut = level.evaluate, level.cut
-    return [e for v in vectors for e in evaluate(*_cut(v, cut))]
-
-
 def _interpolate_levels(products: list[int], levels) -> list[int]:
     """Up the given levels, bottom first: each group of 2k-1 consecutive
     packed subproducts interpolated and recomposed into one product.
@@ -637,11 +632,13 @@ def _interpolate_levels(products: list[int], levels) -> list[int]:
 
 
 def _leaves(vectors, levels) -> list[int]:
-    """The leaf operands of the evaluation trees of the packed vectors: every
-    one of the given levels evaluated top down, so the 2k-1 children of each
-    node, and the leaves of each vector, are next to each other."""
+    """The leaf operands of the evaluation trees of the packed vectors: at
+    each of the given levels, top down, every vector is cut into k parts and
+    evaluated at the 2k-1 points, so the 2k-1 children of each node, and the
+    leaves of each vector, are next to each other."""
     for level in levels:
-        vectors = _evaluate_level(vectors, level)
+        evaluate, cut = level.evaluate, level.cut
+        vectors = [e for v in vectors for e in evaluate(*_cut(v, cut))]
     return list(vectors)
 
 
@@ -663,16 +660,6 @@ def _operand_leaves(coeffs: tuple[int, ...], ls: int, k: int, cutoff: int,
                          _levels(ls, k, cutoff, s)))
 
 
-def _run_local(long, short, k: int, cutoff: int, ls: int,
-               s: int) -> list[int]:
-    """In-process runner: the product of every ls-block of long with short,
-    in s-bit slots, from both operands' memoised leaves."""
-    xs = _operand_leaves(long, ls, k, cutoff, s)
-    ys = _operand_leaves(short, ls, k, cutoff, s)
-    return _interpolate_levels(list(map(mul, xs, cycle(ys))),
-                               _levels(ls, k, cutoff, s))
-
-
 def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
                s: int) -> list[int]:
     """A pool worker's runner: the products of packed length-n vector pairs
@@ -683,28 +670,40 @@ def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
         list(map(mul, _leaves(xs, levels), _leaves(ys, levels))), levels)
 
 
-def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
-                counter: OperationCounter, run) -> Polynomial:
+def _engine_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
+                counter: OperationCounter) -> Polynomial:
     """The k-way engine product of two operands of any lengths.
 
-    Hands both coefficient tuples to run(long, short, k, cutoff, ls, s),
-    which returns the product of every ls-block of the longer operand with
-    the shorter one, then sums the block products and unpacks once; the
-    result does not depend on where run computes them.  The counts come
-    from the shape alone: _tree_counts per block plus the adds that join
-    the blocks.
+    Multiplies every ls-block of the longer operand with the shorter one,
+    in-process from both operands' memoised leaves when plan.workers is 1,
+    else with the top level evaluated here and its subpairs on the pool
+    (no memo); then sums the block products and unpacks once.  The counts
+    come from the shape alone: _tree_counts per block plus the adds that
+    join the blocks.
     """
     a._check_ring(b)
     long, short, q = a.coeffs, b.coeffs, a.modulus
     if len(long) < len(short):
         long, short = short, long
-    ls = len(short)
+    k, cutoff, ls = plan.k, plan.base_cutoff, len(short)
     if q is None:
         amax, bmax = max(map(abs, long)), max(map(abs, short))
     else:
         amax = bmax = q - 1             # reduced coefficients lie in [0, q)
     s = _engine_bits(amax, bmax, ls, k, cutoff)
-    products = run(long, short, k, cutoff, ls, s)
+    levels = _levels(ls, k, cutoff, s)
+    if plan.workers == 1:
+        xs = _operand_leaves(long, ls, k, cutoff, s)
+        ys = _operand_leaves(short, ls, k, cutoff, s)
+        products = list(map(mul, xs, cycle(ys)))
+    else:
+        levels = levels[:1]
+        xs = _leaves(_pack_blocks(long, ls, s), levels)
+        ys = _leaves(_pack_blocks(short, ls, s), levels)
+        m = -(-ls // k) if levels else ls
+        products = run_round_robin(plan.workers, _run_pairs,
+                                   list(zip(xs, cycle(ys))), k, cutoff, m, s)
+    products = _interpolate_levels(products, levels)
     blocks = len(products)
     mults, adds = _tree_counts(ls, k, cutoff)
     counter.fundamental_mults += blocks * mults
@@ -714,25 +713,6 @@ def _engine_mul(a: Polynomial, b: Polynomial, k: int, cutoff: int,
     if e:
         return Polynomial._reduced(_unpack(x, n, s, e), q)
     return Polynomial(_unpack(x, n, s), q)
-
-
-def _run_on_pool(workers: int, long, short, k: int, cutoff: int, ls: int,
-                 s: int) -> list[int]:
-    """The engine's runner on the workers-process pool, with no memo.
-
-    The parent packs the blocks of long and short and, above the cutoff,
-    cuts and evaluates their top level, short's once; run_round_robin has
-    worker w multiply subpairs w, w+workers, w+2*workers, ... in one batch
-    through _run_pairs, and the parent interpolates the top level.
-    Returns one product per block.
-    """
-    top = _levels(ls, k, cutoff, s)[:1]
-    xs = _leaves(_pack_blocks(long, ls, s), top)
-    ys = _leaves(_pack_blocks(short, ls, s), top)
-    m = -(-ls // k) if top else ls
-    products = run_round_robin(workers, _run_pairs, list(zip(xs, cycle(ys))),
-                               k, cutoff, m, s)
-    return _interpolate_levels(products, top)
 
 
 def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,
@@ -752,9 +732,7 @@ def multiply(a: Polynomial, b: Polynomial, plan: MethodPlan,
         counter = OperationCounter()
     if plan.method == SCHOOLBOOK:
         return schoolbook_mul(a, b, counter)
-    run = _run_local if plan.workers == 1 else \
-        partial(_run_on_pool, plan.workers)
-    return _engine_mul(a, b, plan.k, plan.base_cutoff, counter, run)
+    return _engine_mul(a, b, plan, counter)
 
 
 def parallel_mul(a: Polynomial, b: Polynomial, plan: MethodPlan
@@ -776,12 +754,8 @@ def predicted_mult_count(plan: MethodPlan, n: int) -> int:
         raise InvalidInputError(f"operand length must be >= 1, got {n}")
     if plan.method == SCHOOLBOOK:
         return n * n
-    k = plan.k
-    subproducts = 1
-    while n > plan.base_cutoff:
-        subproducts *= 2 * k - 1
-        n = -(-n // k)
-    return subproducts * n * n
+    depth, leaf = _depth_leaf(n, plan.k, plan.base_cutoff)
+    return (2 * plan.k - 1) ** depth * leaf * leaf
 
 
 def recursion_depth(plan: MethodPlan, n: int) -> int:
@@ -795,9 +769,4 @@ def recursion_depth(plan: MethodPlan, n: int) -> int:
         raise InvalidInputError(f"operand length must be >= 1, got {n}")
     if plan.method == SCHOOLBOOK:
         return 0
-    k = plan.k
-    depth = 0
-    while n > plan.base_cutoff:
-        n = -(-n // k)
-        depth += 1
-    return depth
+    return _depth_leaf(n, plan.k, plan.base_cutoff)[0]

@@ -38,7 +38,6 @@ from pqmul.multipliers import (
     _exact_div,
     _exact_shift,
     _operand_leaves,
-    _pack,
     _pack_blocks,
     _range_check,
     _unpack,
@@ -164,6 +163,44 @@ class TestInterpolate:
         from pqmul import InvalidInputError
         with pytest.raises(InvalidInputError):
             interpolate([[1]] * 4, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_empty_vectors_give_empty_slices(self, k):
+        empty = [[] for _ in range(2 * k - 1)]
+        assert evaluate_parts([[] for _ in range(k)], k) == empty
+        assert interpolate([[] for _ in range(2 * k - 1)], k) == empty
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_round_trip_through_the_stages(self, k):
+        """split, evaluate, pointwise schoolbook products (their trailing
+        zeros dropped, so the vectors differ in length), interpolate and
+        recompose give the schoolbook product."""
+        rng = random.Random(k)
+        for n in (1, 2, k, 3 * k + 1, 40):
+            a = [rng.randrange(-2 ** 20, 2 ** 20) for _ in range(n)]
+            b = [rng.choice((-1, 0, 1)) for _ in range(n)]
+            ea = evaluate_parts(split(a, k), k)
+            eb = evaluate_parts(split(b, k), k)
+            products = [list(schoolbook_mul(Polynomial(x),
+                                            Polynomial(y)).coeffs)
+                        for x, y in zip(ea, eb)]
+            m = -(-n // k)
+            out = [0] * (2 * k * m)
+            for i, part in enumerate(interpolate(products, k)):
+                for j, c in enumerate(part):
+                    out[i * m + j] += c
+            assert Polynomial(out) == schoolbook_mul(Polynomial(a),
+                                                     Polynomial(b))
+
+    def test_k4_inexact_division_fails_loudly(self):
+        # valid pointwise products for (1+2x+...+8x^7)^2, then corrupt one
+        evals = evaluate_parts(split(Polynomial(list(range(1, 9))), 4), 4)
+        products = [_schoolbook_coeffs(u, u, OperationCounter())
+                    for u in evals]
+        assert interpolate(products, 4)[0] == [1, 4, 4]
+        products[1][0] += 1
+        with pytest.raises(InternalArithmeticError):
+            interpolate(products, 4)
 
 
 class TestKaratsuba:
@@ -412,8 +449,14 @@ def divide(x, d, guard):
 
 
 def slot_bits_for(bound):
-    """The smallest slot width _pack and _unpack accept for |c| <= bound."""
+    """The smallest slot width _pack_blocks and _unpack accept for
+    |c| <= bound."""
     return max(64, (bound.bit_length() + 8) & -8)
+
+
+def pack(v, s):
+    """The packed int of v by its definition, sum(c_i * 2^(s*i))."""
+    return sum(c << (s * i) for i, c in enumerate(v))
 
 
 class TestPackedVectors:
@@ -423,7 +466,7 @@ class TestPackedVectors:
     @example([2 ** 63, -(2 ** 63) - 1], 0)
     def test_pack_unpack_round_trip(self, v, extra_bytes):
         s = slot_bits_for(max(map(abs, v))) + 8 * extra_bytes
-        packed = _pack(v, s)
+        packed, = _pack_blocks(v, len(v), s)
         assert packed == sum(c << (s * i) for i, c in enumerate(v))
         assert _unpack(packed, len(v), s) == v
 
@@ -434,7 +477,7 @@ class TestPackedVectors:
     def test_blocks_are_packed_slices(self, v, ls, extra_bytes):
         s = slot_bits_for(max(map(abs, v))) + 8 * extra_bytes
         assert _pack_blocks(tuple(v), ls, s) == tuple(
-            _pack(v[i:i + ls], s) for i in range(0, len(v), ls))
+            pack(v[i:i + ls], s) for i in range(0, len(v), ls))
 
     @PROPERTY
     @given(signed_vector(16), signed_vector(16))
@@ -443,7 +486,7 @@ class TestPackedVectors:
     def test_packed_product_matches_row_loop(self, a, b):
         ma, mb = max(map(abs, a)), max(map(abs, b))
         s = slot_bits_for(max(ma, mb, ma * mb * min(len(a), len(b))))
-        got = _unpack(_pack(a, s) * _pack(b, s), len(a) + len(b) - 1, s)
+        got = _unpack(pack(a, s) * pack(b, s), len(a) + len(b) - 1, s)
         assert got == _schoolbook_coeffs(a, b, OperationCounter())
 
     @pytest.mark.parametrize("slots, d", [
@@ -453,7 +496,7 @@ class TestPackedVectors:
     ])
     def test_exact_division_guard(self, slots, d):
         s = 64
-        x = _pack(slots, s)
+        x = pack(slots, s)
         assert x % d == 0
         with pytest.raises(InternalArithmeticError):
             divide(x, d, _range_check(len(slots), s, s - 5))
@@ -461,7 +504,7 @@ class TestPackedVectors:
     def test_exact_division_of_every_slot(self):
         s = 64
         guard = _range_check(3, s, s - 5)
-        q = _exact_div(_pack([9, -24, 3], s), 3, guard)
+        q = _exact_div(pack([9, -24, 3], s), 3, guard)
         assert _unpack(q, 3, s) == [3, -8, 1]
 
     def test_widest_reduced_operands(self):
@@ -528,7 +571,7 @@ class TestNarrowSlots:
     @example((56, [2 ** 55 - 1, -(2 ** 55), 0]))
     def test_pack_unpack_round_trip(self, sv):
         s, v = sv
-        packed = _pack(v, s)
+        packed, = _pack_blocks(v, len(v), s)
         assert packed == sum(c << (s * i) for i, c in enumerate(v))
         assert _unpack(packed, len(v), s) == v
 
@@ -538,7 +581,7 @@ class TestNarrowSlots:
     def test_blocks_are_packed_slices(self, sv, ls):
         s, v = sv
         assert _pack_blocks(tuple(v), ls, s) == tuple(
-            _pack(v[i:i + ls], s) for i in range(0, len(v), ls))
+            pack(v[i:i + ls], s) for i in range(0, len(v), ls))
 
     @PROPERTY
     @given(narrow_vector(), st.integers(1, 55))
@@ -548,7 +591,7 @@ class TestNarrowSlots:
         """Signed slots read mod 2^e, for any e < s."""
         s, v = sv
         e = min(e, s - 1)
-        assert _unpack(_pack(v, s), len(v), s, e) == [c % 2 ** e for c in v]
+        assert _unpack(pack(v, s), len(v), s, e) == [c % 2 ** e for c in v]
 
     @PROPERTY
     @given(narrow_factors())
@@ -556,7 +599,7 @@ class TestNarrowSlots:
     @example((8, [-1] * 16, [7] * 16))
     def test_packed_product_matches_row_loop(self, sab):
         s, a, b = sab
-        got = _unpack(_pack(a, s) * _pack(b, s), len(a) + len(b) - 1, s)
+        got = _unpack(pack(a, s) * pack(b, s), len(a) + len(b) - 1, s)
         assert got == _schoolbook_coeffs(a, b, OperationCounter())
 
     @pytest.mark.parametrize("k, slots, d", [
@@ -571,7 +614,7 @@ class TestNarrowSlots:
     ])
     def test_exact_division_guard(self, k, slots, d):
         s = 16
-        x = _pack(slots, s)
+        x = pack(slots, s)
         assert x % d == 0
         with pytest.raises(InternalArithmeticError):
             divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
@@ -580,7 +623,7 @@ class TestNarrowSlots:
     def test_exact_division_of_every_slot(self, k):
         s = 16
         guard = _range_check(3, s, s - GUARD[k])
-        q = _exact_div(_pack([9, -24, 3], s), 3, guard)
+        q = _exact_div(pack([9, -24, 3], s), 3, guard)
         assert _unpack(q, 3, s) == [3, -8, 1]
 
     @pytest.mark.parametrize("k, slots, d", [
@@ -592,7 +635,7 @@ class TestNarrowSlots:
     ])
     def test_shift_remainder_raises(self, k, slots, d):
         s = 16
-        x = _pack(slots, s)
+        x = pack(slots, s)
         assert x % d
         with pytest.raises(InternalArithmeticError):
             divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
@@ -606,7 +649,7 @@ class TestNarrowSlots:
         h = s - GUARD[k]
         quotients = [-2 ** h, 2 ** h - 1, 1, 0, -1]
         guard = _range_check(len(quotients), s, h)
-        x = _pack([d * c for c in quotients], s)
+        x = pack([d * c for c in quotients], s)
         assert _unpack(divide(x, d, guard), len(quotients), s) == quotients
 
 
@@ -723,7 +766,7 @@ class TestSlotHeadroom:
 
         def slices(width):
             guard = _range_check(len(signs), width, width - steps.guard)
-            out = steps.interpolate([_pack(v, width) for v in inputs], guard)
+            out = steps.interpolate([pack(v, width) for v in inputs], guard)
             return [_unpack(x, len(signs), width) for x in out]
 
         assert slices(s) == slices(4 * s)
