@@ -73,18 +73,20 @@ A level-l product has coefficients of at most max|a| max|b| g^(2l) n_l, and
 n_l <= k n_(l+1) <= g^2 n_(l+1), so the leaf level bounds every level above
 it: every operand, subproduct and recomposed coefficient is at most V.
 Interpolating inputs bounded by V, even inputs that are not products, keeps
-every intermediate and quotient below these bounds (for k = 4 the worst
-intermediate is v3 - v0 - 9 c2 - 81 c4 - 729 vinf with |c2| <= 9.5 V and
-|c4| <= 6.5 V):
+every dividend and quotient within these bounds, which are exact: each is a
+linear form in the 2k-1 inputs and reaches V times the sum of its
+|coefficients| (for k = 4 the largest dividend is
+v3 - v0 - 9 c2 - 81 c4 - 729 vinf):
 
-    k   intermediates   quotients   divisors   headroom   guard h
-    3   < 8 V           < 2 V       d <= 3      4 bits    s - 3
-    4   < 2^11 V        < 2^9 V     d <= 8     13 bits    s - 4
+    k   dividends   quotients    divisors   headroom   guard h
+    3   8/3 V       4/3 V        d <= 3      4 bits    s - 3
+    4   392 V       392/3 V      d <= 8     12 bits    s - 4
 
 For Toom-Cook s is the bit length of V plus k's headroom, rounded up to
 whole bytes, and derived per product from the operands (never from a
-setting).  So every value fits its slot (8 V, 2^11 V <= 2^(s-1)) and every
-correct quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^9 V <= 2^(s-4)).
+setting).  So every dividend fits its slot (4 V, 2^9 V <= 2^(s-1)) and every
+correct quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^8 V <= 2^(s-4)).
+The headroom is the least that gives both, and the quotient bound sets it.
 Karatsuba divides nowhere, so no guard reads its interpolation slots
 (< 4 V): only the cuts, whose operands are at most max(|a|, |b|) 2^L, and
 the unpack, whose coefficients are at most |a| |b| ls for the shorter
@@ -475,7 +477,7 @@ class _Steps(NamedTuple):
 _STEPS = {
     2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 1, 1),    # p(1) = p0+p1
     3: _Steps(_evaluate3, _interpolate3, 7, 5, 9, 4, 3),    # p(2) = p0+..+4p2
-    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20, 13, 4),    # p(3)
+    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20, 12, 4),    # p(3)
 }
 
 

@@ -86,12 +86,15 @@ class Scenario:
             raise ScenarioError("at least one MEC node is required")
         if self.vehicles < 0:
             raise ScenarioError(f"vehicles must be >= 0, got {self.vehicles}")
-        if self.handover_interval_ms <= 0:
-            raise ScenarioError("handover_interval_ms must be > 0")
+        if not 0 < self.handover_interval_ms < math.inf:
+            raise ScenarioError(
+                "handover_interval_ms must be finite and > 0, got "
+                f"{self.handover_interval_ms}")
         if self.degree < 1:
             raise ScenarioError(f"degree must be >= 1, got {self.degree}")
-        if self.duration_ms <= 0:
-            raise ScenarioError("duration_ms must be > 0")
+        if not 0 < self.duration_ms < math.inf:
+            raise ScenarioError(
+                f"duration_ms must be finite and > 0, got {self.duration_ms}")
         if self.mults_per_handover < 1:
             raise ScenarioError("mults_per_handover must be >= 1")
         if self.policy_mode not in POLICY_MODES:
@@ -142,8 +145,17 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     calibrated TimeModel, or a live runner).  A handover's plan depends
     only on its target node's cores and load (the degree is fixed), so a
     run decides it once per (cores, load), at most once per (node, load),
-    and reuses it; predict runs on every handover, since a live runner
-    times a fresh product on each call.  Deterministic per seed.
+    and reuses it from one load-keyed dict per core count, which the
+    nodes sharing that count share; predict runs on every handover, since
+    a live runner times a fresh product on each call.
+
+    Deterministic per seed.  Each handover draws straight from its
+    vehicle's generator, because randrange and expovariate are pure-Python
+    frames that cost about a quarter of a handover: the target is
+    getrandbits(k) redrawn while it is >= n_mecs - 1, with k the bit length
+    of n_mecs - 1, which is exactly randrange(n_mecs - 1), and the interval
+    is -log(1.0 - random()) / rate, exactly expovariate(rate).  So the
+    Mersenne Twister stream, and every report, is as with those calls.
     """
     if scenario.policy_mode == "rule_table" and table is None:
         raise InvalidInputError("rule_table mode needs a rule table")
@@ -152,35 +164,40 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     duration_ms, mults = scenario.duration_ms, scenario.mults_per_handover
     rate = 1.0 / scenario.handover_interval_ms
     rule_table = scenario.policy_mode == "rule_table"
-    predict = time_model.predict
+    predict, log = time_model.predict, math.log
     n_mecs = len(nodes)
-    # (cores, load) -> (plan, plan.label), for this run only
-    decided: dict[tuple[int, float], tuple[MethodPlan, str]] = {}
+    others = n_mecs - 1
+    bits = others.bit_length()
+    # per node: its core count's load -> (plan, plan.label), this run only
+    by_cores: dict[int, dict[float, tuple[MethodPlan, str]]] = {}
+    decided = [by_cores.setdefault(node.cores, {}) for node in nodes]
     per_vehicle = []
     mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
     all_latencies: list[float] = []
 
     for v in range(scenario.vehicles):
         rng = random.Random(derive_seed(scenario.seed, v))
-        randrange, expovariate = rng.randrange, rng.expovariate
-        current = randrange(n_mecs)
+        getrandbits, uniform = rng.getrandbits, rng.random
+        current = rng.randrange(n_mecs)
         latencies: list[float] = []
-        t = expovariate(rate)
+        t = -log(1.0 - uniform()) / rate
         while t < duration_ms:
-            if n_mecs > 1:
-                target = randrange(n_mecs - 1)
+            if others:
+                target = getrandbits(bits)
+                while target >= others:
+                    target = getrandbits(bits)
                 if target >= current:
                     target += 1
             else:
                 target = current
             node = nodes[target]
             load = node.load_at(t)
-            decision = decided.get((node.cores, load))
+            decision = decided[target].get(load)
             if decision is None:
                 plan = select_method(table, SystemState(
                     degree=degree, load_pct=load,
                     available_cores=node.cores)) if rule_table else fixed_plan
-                decision = decided[node.cores, load] = plan, plan.label
+                decision = decided[target][load] = plan, plan.label
             plan, label = decision
             try:
                 per_mult_ns = predict(plan, degree, load)
@@ -192,7 +209,7 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
             plans = mec_plans[target]
             plans[label] = plans.get(label, 0) + 1
             current = target
-            t += expovariate(rate)
+            t += -log(1.0 - uniform()) / rate
         latencies_sorted = sorted(latencies)
         per_vehicle.append(VehicleStats(
             vehicle=v, handovers=len(latencies),

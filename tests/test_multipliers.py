@@ -8,8 +8,10 @@ for operation counts.
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -661,7 +663,7 @@ class TestNarrowSlots:
 #: Toom-Cook's headroom over the leaf bound V, and for Karatsuba one sign
 #: bit over the largest value it reads.  The growth g of the largest value
 #: per evaluation level (p(1), p(2), p(3) of an all-ones polynomial).
-HEADROOM = {2: 1, 3: 4, 4: 13}
+HEADROOM = {2: 1, 3: 4, 4: 12}
 GROWTH = {2: 2, 3: 7, 4: 40}
 
 #: (n, cutoff) per k with no padding at any level, so the all-equal
@@ -696,6 +698,30 @@ def headroom_plan(k: int, cutoff: int) -> MethodPlan:
             else MethodPlan.toom(k, base_cutoff=cutoff))
 
 
+class LinearForm:
+    """A linear form over Fractions in the interpolation's inputs: the
+    inputs' coefficients, with the operations the interpolation applies."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, other):
+        return LinearForm(map(operator.add, self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return LinearForm(map(operator.sub, self.coeffs, other.coeffs))
+
+    def __rmul__(self, c: int):
+        return LinearForm(c * x for x in self.coeffs)
+
+    def __truediv__(self, d: int):
+        return LinearForm(x / d for x in self.coeffs)
+
+    def reach(self) -> Fraction:
+        """The largest |value| for inputs in [-1, 1]."""
+        return sum(map(abs, self.coeffs))
+
+
 class TestSlotHeadroom:
     """The slot width of each method, with its largest values at the
     byte boundary: products of same-sign and alternating-sign operands, and
@@ -704,14 +730,14 @@ class TestSlotHeadroom:
     the operand cuts and the product alone."""
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 40, 40, 40]), (3, [56, 56, 56, 64]), (4, [72, 80, 80, 80])])
+        (2, [40, 40, 40, 40]), (3, [56, 56, 56, 64]), (4, [64, 80, 80, 80])])
     def test_widths_at_q_8192(self, k, widths):
         """The benchmark's sizes N = 256, 512, 768, 1024 at cutoff 16."""
         assert [_engine_bits(8191, 8191, n, k, 16)
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 40, 40, 40]), (3, [48, 56, 56, 56]), (4, [72, 72, 72, 80])])
+        (2, [40, 40, 40, 40]), (3, [48, 56, 56, 56]), (4, [64, 72, 72, 80])])
     def test_widths_at_q_8192_default_cutoff(self, k, widths):
         """Fewer levels than at cutoff 16, so narrower slots."""
         assert [_engine_bits(8191, 8191, n, k, DEFAULT_BASE_CUTOFF)
@@ -770,6 +796,40 @@ class TestSlotHeadroom:
             return [_unpack(x, len(signs), width) for x in out]
 
         assert slices(s) == slices(4 * s)
+
+    @pytest.mark.parametrize("k, dividend, quotient", [
+        (3, Fraction(8, 3), Fraction(4, 3)), (4, 392, Fraction(392, 3))])
+    def test_headroom_is_the_tightest_fit(self, k, dividend, quotient,
+                                          monkeypatch):
+        """Run the interpolation on linear forms in its 2k-1 inputs, with
+        exact-division stubs that record every dividend and quotient.  On
+        inputs in [-V, V] a form reaches V times the sum of its
+        |coefficients|.  A value of at most D V fits a signed slot when
+        D <= 2^(headroom-1), and a quotient of at most Q V passes the guard
+        h = s - guard when Q <= 2^(headroom-guard); the headroom is the
+        least that does both."""
+        dividends, quotients = [], []
+
+        def exact_div(x, d, guard):
+            dividends.append(x.reach())
+            q = x / d
+            quotients.append(q.reach())
+            return q
+
+        monkeypatch.setattr(multipliers, "_exact_div", exact_div)
+        monkeypatch.setattr(multipliers, "_exact_shift",
+                            lambda x, t, guard: exact_div(x, 1 << t, guard))
+        steps, n = _STEPS[k], 2 * k - 1
+        steps.interpolate([LinearForm(Fraction(i == j) for j in range(n))
+                           for i in range(n)], None)
+        assert (max(dividends), max(quotients)) == (dividend, quotient)
+
+        def fits(headroom):
+            return (dividend <= 2 ** (headroom - 1)
+                    and quotient <= 2 ** (headroom - steps.guard))
+
+        assert fits(steps.headroom) and not fits(steps.headroom - 1)
+        assert HEADROOM[k] == steps.headroom
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pqmul import (
     run_simulation,
     save_scenario,
 )
+from pqmul.poly import derive_seed
 from pqmul.simulator import report_to_dict, scenario_to_dict
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
@@ -106,6 +107,14 @@ class TestValidation:
     def test_negative_vehicles_rejected(self):
         with pytest.raises(ScenarioError):
             make_scenario(vehicles=-1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("field", ["handover_interval_ms", "duration_ms"])
+    def test_non_finite_times_rejected(self, field, value):
+        # an infinite interval divided by zero and an infinite duration
+        # never ended the run; NaN returned an empty report
+        with pytest.raises(ScenarioError, match=field):
+            make_scenario(**{field: value})
 
     def test_bad_policy_mode(self):
         with pytest.raises(ScenarioError):
@@ -364,6 +373,41 @@ def test_trace_reports_bytes_pinned(calibrated):
     text = (render_report(run_simulation(rule, table, model), "json")
             + render_report(run_simulation(fixed, None, model), "json"))
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_REPORTS_SHA256
+
+
+def oracle_handovers(scenario):
+    """(per-vehicle, per-MEC) handover counts drawn with the generator's own
+    randrange and expovariate (test-side oracle)."""
+    n_mecs, rate = len(scenario.mec_nodes), 1.0 / scenario.handover_interval_ms
+    per_vehicle, per_mec = [], [0] * n_mecs
+    for v in range(scenario.vehicles):
+        rng = random.Random(derive_seed(scenario.seed, v))
+        current, count = rng.randrange(n_mecs), 0
+        t = rng.expovariate(rate)
+        while t < scenario.duration_ms:
+            if n_mecs > 1:
+                target = rng.randrange(n_mecs - 1)
+                current = target + (target >= current)
+            per_mec[current] += 1
+            count += 1
+            t += rng.expovariate(rate)
+        per_vehicle.append(count)
+    return per_vehicle, per_mec
+
+
+@pytest.mark.parametrize("n_mecs", [1, 2, 3, 4, 5, 8])
+def test_draws_follow_the_generator_stream(calibrated, n_mecs):
+    """run_simulation's inlined draws consume each vehicle's stream as
+    randrange and expovariate do.  The pinned digests cover 2 and 3 nodes
+    only; at 5 nodes the target draw rejects half its candidates."""
+    table, model = calibrated
+    nodes = tuple(MecNode(cores=1 + i % 5, load_trace=((0, 10 * i),))
+                  for i in range(n_mecs))
+    scenario = make_scenario(mec_nodes=nodes, vehicles=6, seed=17)
+    report = run_simulation(scenario, table, model)
+    per_vehicle, per_mec = oracle_handovers(scenario)
+    assert [s.handovers for s in report.per_vehicle] == per_vehicle
+    assert [m.handovers for m in report.per_mec] == per_mec
 
 
 class CountingModel:
