@@ -4,10 +4,13 @@ Calibration turns benchmark records into per-degree-band load thresholds:
 the load at which sequential Karatsuba's mean time first beats parallel
 Toom-Cook's (linear interpolation between sampled loads), and likewise for
 sequential Toom-Cook vs its parallel variant.  Selection is then a pure
-table lookup: parallel Toom-Cook below the first threshold, Karatsuba above
-it, and Karatsuba unconditionally on a single core.  Sequential Toom-Cook is
-calibrated and reported but never selected - at one worker it is dominated
-by Karatsuba.
+table lookup.  At one degree and core count the rule is a threshold with
+one plan below it and one at or above it: parallel Toom-Cook below the
+first threshold and Karatsuba above it, or Karatsuba at every load on a
+single core, on too few cores or at a degree no band covers.  Hysteresis
+then widens the threshold in favor of the previous plan.  Sequential
+Toom-Cook is calibrated and reported but never selected - at one worker it
+is dominated by Karatsuba.
 
 The rule file is JSON (schema in save_rules) and survives save -> load ->
 save byte-identically.
@@ -244,34 +247,38 @@ def calibrate(records: list[BenchmarkRecord],
 # selection
 # ---------------------------------------------------------------------------
 
+def _rule(table: RuleTable, degree: int,
+          cores: int) -> tuple[float, MethodPlan, MethodPlan]:
+    """select_method's decision at one degree and core count, as
+    (threshold, below, above): the plan is below at loads under the
+    threshold and above at loads at or above it.
+    """
+    entry = table.entry_for(degree)
+    if cores == 1 or entry is None:
+        return 0.0, table.default_plan, table.default_plan
+    if cores < entry.min_cores:
+        return 0.0, entry.karatsuba_plan, entry.karatsuba_plan
+    return (entry.threshold_parallel_vs_karatsuba_pct,
+            entry.parallel_plan, entry.karatsuba_plan)
+
+
 def select_method(table: RuleTable, state: SystemState,
                   previous: MethodPlan | None = None) -> MethodPlan:
     """Pick the plan for the given system state (total, deterministic).
 
-    One available core always means sequential Karatsuba.  Otherwise, within
-    the matching degree band: parallel Toom-Cook below the
-    parallel-vs-Karatsuba threshold, Karatsuba at or above it.  Sequential
-    Toom-Cook is never selected.  Passing the previously selected plan
-    widens the threshold by HYSTERESIS_PCT in its favor so a load hovering
-    at the boundary does not flap.
+    The rule at the state's degree and cores (_rule) gives a threshold and
+    the plans below and at or above it; sequential Toom-Cook is never
+    selected.  Passing the previously selected plan widens the threshold
+    by HYSTERESIS_PCT in its favor, where the two plans differ, so a load
+    hovering at the boundary does not flap.
     """
-    if state.available_cores == 1:
-        return table.default_plan
-    entry = table.entry_for(state.degree)
-    if entry is None:
-        return table.default_plan
-    if state.available_cores < entry.min_cores:
-        return entry.karatsuba_plan
-
-    threshold = entry.threshold_parallel_vs_karatsuba_pct
-    if previous is not None:
-        if previous == entry.parallel_plan:
-            threshold += HYSTERESIS_PCT
-        elif previous == entry.karatsuba_plan:
-            threshold -= HYSTERESIS_PCT
-    if state.load_pct >= threshold:
-        return entry.karatsuba_plan
-    return entry.parallel_plan
+    threshold, below, above = _rule(table, state.degree,
+                                    state.available_cores)
+    if previous == below != above:
+        threshold += HYSTERESIS_PCT
+    elif previous == above != below:
+        threshold -= HYSTERESIS_PCT
+    return above if state.load_pct >= threshold else below
 
 
 class TimeModel:

@@ -21,16 +21,16 @@ from functools import partial
 
 from .errors import CoverageError, InvalidInputError, ScenarioError
 from .multipliers import MethodPlan
-from .policy import (
-    RuleTable,
-    SystemState,
-    _need,
-    _plan_at,
-    select_method,
-)
+from .policy import RuleTable, _need, _plan_at, _rule
 from .poly import derive_seed
 
 POLICY_MODES = ("rule_table", "fixed_plan")
+
+
+def _check_int(value, name: str) -> None:
+    """Raise ScenarioError unless value is an int (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class MecNode:
         object.__setattr__(self, "load_trace",
                            tuple((float(t), float(l)) for t, l in self.load_trace))
         object.__setattr__(self, "_times", tuple(t for t, _ in self.load_trace))
+        _check_int(self.cores, "mec cores")
         if self.cores < 1:
             raise ScenarioError(f"mec cores must be >= 1, got {self.cores}")
         if not self.load_trace:
@@ -54,8 +55,9 @@ class MecNode:
                 f"load trace must start at time 0, got {self.load_trace[0][0]}")
         prev_t = -1.0
         for t, load in self.load_trace:
-            if t <= prev_t:
-                raise ScenarioError(f"load trace times must increase, got {t}")
+            if not prev_t < t < math.inf:   # also rejects NaN
+                raise ScenarioError(
+                    f"load trace times must be finite and increase, got {t}")
             if not 0 <= load <= 100:
                 raise ScenarioError(f"trace load {load} outside [0, 100]")
             prev_t = t
@@ -84,6 +86,8 @@ class Scenario:
         object.__setattr__(self, "mec_nodes", tuple(self.mec_nodes))
         if not self.mec_nodes:
             raise ScenarioError("at least one MEC node is required")
+        for name in ("vehicles", "degree", "mults_per_handover", "seed"):
+            _check_int(getattr(self, name), name)
         if self.vehicles < 0:
             raise ScenarioError(f"vehicles must be >= 0, got {self.vehicles}")
         if not 0 < self.handover_interval_ms < math.inf:
@@ -103,6 +107,9 @@ class Scenario:
                 f"{self.policy_mode!r}")
         if self.policy_mode == "fixed_plan" and self.fixed_plan is None:
             raise ScenarioError("fixed_plan mode needs a fixed_plan descriptor")
+        if not isinstance(self.fixed_plan, (MethodPlan, type(None))):
+            raise ScenarioError(
+                f"fixed_plan must be a MethodPlan, got {self.fixed_plan!r}")
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,13 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     """Simulate the scenario and report handover crypto latencies.
 
     time_model is anything with predict(plan, degree, load_pct) -> ns (the
-    calibrated TimeModel, or a live runner).  A handover's plan depends
-    only on its target node's cores and load (the degree is fixed), so a
-    run decides it once per (cores, load), at most once per (node, load),
-    and reuses it from one load-keyed dict per core count, which the
-    nodes sharing that count share; predict runs on every handover, since
-    a live runner times a fresh product on each call.
+    calibrated TimeModel, or a live runner).  The degree is fixed, so a
+    node's plan is a step function of its load: the rule table's rule
+    (policy._rule) gives a threshold and the plans below and at or above
+    it, taken once per distinct core count per run, with both labels; a
+    fixed plan is the rule (0.0, plan, plan).  Each handover then makes one
+    comparison.  predict runs on every handover, since a live runner times
+    a fresh product on each call.
 
     Deterministic per seed.  Each handover draws straight from its
     vehicle's generator, because randrange and expovariate are pure-Python
@@ -168,9 +176,14 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     n_mecs = len(nodes)
     others = n_mecs - 1
     bits = others.bit_length()
-    # per node: its core count's load -> (plan, plan.label), this run only
-    by_cores: dict[int, dict[float, tuple[MethodPlan, str]]] = {}
-    decided = [by_cores.setdefault(node.cores, {}) for node in nodes]
+    # per core count: (threshold, (below, label), (above, label)), this run
+    by_cores: dict[int, tuple] = {}
+    for cores in dict.fromkeys(node.cores for node in nodes):
+        threshold, below, above = (_rule(table, degree, cores) if rule_table
+                                   else (0.0, fixed_plan, fixed_plan))
+        by_cores[cores] = \
+            threshold, (below, below.label), (above, above.label)
+    rules = [by_cores[node.cores] for node in nodes]
     per_vehicle = []
     mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
     all_latencies: list[float] = []
@@ -190,15 +203,9 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
                     target += 1
             else:
                 target = current
-            node = nodes[target]
-            load = node.load_at(t)
-            decision = decided[target].get(load)
-            if decision is None:
-                plan = select_method(table, SystemState(
-                    degree=degree, load_pct=load,
-                    available_cores=node.cores)) if rule_table else fixed_plan
-                decision = decided[target][load] = plan, plan.label
-            plan, label = decision
+            load = nodes[target].load_at(t)
+            threshold, below, above = rules[target]
+            plan, label = above if load >= threshold else below
             try:
                 per_mult_ns = predict(plan, degree, load)
             except CoverageError as exc:

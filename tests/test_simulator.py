@@ -13,12 +13,14 @@ from pqmul import (
     MecNode,
     Scenario,
     ScenarioError,
+    SystemState,
     TimeModel,
     calibrate,
     load_scenario,
     render_report,
     run_simulation,
     save_scenario,
+    select_method,
 )
 from pqmul.poly import derive_seed
 from pqmul.simulator import report_to_dict, scenario_to_dict
@@ -115,6 +117,39 @@ class TestValidation:
         # never ended the run; NaN returned an empty report
         with pytest.raises(ScenarioError, match=field):
             make_scenario(**{field: value})
+
+    @pytest.mark.parametrize("trace", [
+        ((0, 10), (math.nan, 20), (5, 30)),
+        ((0, 10), (math.nan, 20)),
+        ((0, 10), (math.inf, 20)),
+    ])
+    def test_non_finite_breakpoint_times_rejected(self, trace):
+        # a NaN time passed the "times increase" check, and load_at then
+        # bisected an unsorted tuple
+        with pytest.raises(ScenarioError, match="finite"):
+            MecNode(cores=2, load_trace=trace)
+
+    @pytest.mark.parametrize("field, value", [
+        ("vehicles", 2.5), ("vehicles", True), ("degree", 512.0),
+        ("degree", True), ("mults_per_handover", math.inf),
+        ("mults_per_handover", 10.0), ("mults_per_handover", False),
+        ("seed", 2.5), ("seed", True),
+    ])
+    def test_non_int_counts_rejected(self, field, value):
+        # vehicles=2.5 and seed=2.5 raised raw TypeErrors in run_simulation,
+        # and an infinite mults_per_handover reported infinite latencies
+        with pytest.raises(ScenarioError, match=field):
+            make_scenario(**{field: value})
+
+    @pytest.mark.parametrize("mode", ["rule_table", "fixed_plan"])
+    def test_fixed_plan_must_be_a_plan(self, mode):
+        with pytest.raises(ScenarioError, match="fixed_plan"):
+            make_scenario(policy_mode=mode, fixed_plan="karatsuba")
+
+    @pytest.mark.parametrize("cores", [2.5, True, "2"])
+    def test_non_int_cores_rejected(self, cores):
+        with pytest.raises(ScenarioError, match="cores"):
+            MecNode(cores=cores, load_trace=((0, 0),))
 
     def test_bad_policy_mode(self):
         with pytest.raises(ScenarioError):
@@ -375,11 +410,14 @@ def test_trace_reports_bytes_pinned(calibrated):
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_REPORTS_SHA256
 
 
-def oracle_handovers(scenario):
+def oracle_handovers(scenario, table):
     """(per-vehicle, per-MEC) handover counts drawn with the generator's own
-    randrange and expovariate (test-side oracle)."""
-    n_mecs, rate = len(scenario.mec_nodes), 1.0 / scenario.handover_interval_ms
+    randrange and expovariate, and per-MEC plan counts with each plan
+    chosen by select_method at the target's load (test-side oracle)."""
+    nodes, rate = scenario.mec_nodes, 1.0 / scenario.handover_interval_ms
+    n_mecs = len(nodes)
     per_vehicle, per_mec = [], [0] * n_mecs
+    plan_counts = [{} for _ in range(n_mecs)]
     for v in range(scenario.vehicles):
         rng = random.Random(derive_seed(scenario.seed, v))
         current, count = rng.randrange(n_mecs), 0
@@ -388,11 +426,17 @@ def oracle_handovers(scenario):
             if n_mecs > 1:
                 target = rng.randrange(n_mecs - 1)
                 current = target + (target >= current)
+            node = nodes[current]
+            plan = select_method(table, SystemState(
+                scenario.degree, node.load_at(t), node.cores)) \
+                if scenario.policy_mode == "rule_table" else scenario.fixed_plan
+            counts = plan_counts[current]
+            counts[plan.label] = counts.get(plan.label, 0) + 1
             per_mec[current] += 1
             count += 1
             t += rng.expovariate(rate)
         per_vehicle.append(count)
-    return per_vehicle, per_mec
+    return per_vehicle, per_mec, plan_counts
 
 
 @pytest.mark.parametrize("n_mecs", [1, 2, 3, 4, 5, 8])
@@ -405,7 +449,7 @@ def test_draws_follow_the_generator_stream(calibrated, n_mecs):
                   for i in range(n_mecs))
     scenario = make_scenario(mec_nodes=nodes, vehicles=6, seed=17)
     report = run_simulation(scenario, table, model)
-    per_vehicle, per_mec = oracle_handovers(scenario)
+    per_vehicle, per_mec, _ = oracle_handovers(scenario, table)
     assert [s.handovers for s in report.per_vehicle] == per_vehicle
     assert [m.handovers for m in report.per_mec] == per_mec
 
@@ -433,24 +477,83 @@ class TestDecisionsPerRun:
         assert report.total_handovers > 0
         assert counting.calls == report.total_handovers
 
-    def test_select_method_once_per_node_and_load(self, calibrated,
-                                                  monkeypatch):
+    def test_rule_once_per_core_count(self, calibrated, monkeypatch):
         import pqmul.simulator as simulator
 
         table, model = calibrated
-        select, calls = simulator.select_method, []
+        rule, calls = simulator._rule, []
 
-        def counting_select(table_, state, previous=None):
-            calls.append((state.available_cores, state.load_pct))
-            return select(table_, state, previous)
+        def counting_rule(table_, degree, cores):
+            calls.append(cores)
+            return rule(table_, degree, cores)
 
-        monkeypatch.setattr(simulator, "select_method", counting_select)
+        monkeypatch.setattr(simulator, "_rule", counting_rule)
         # two 5-core nodes, one sharing its long trace with a 1-core node
-        scenario, _ = trace_scenarios()
+        scenario, fixed = trace_scenarios()
         report = run_simulation(scenario, table, model)
-        first = list(calls)
-        # once per (cores, load), so at most once per (node, load)
-        assert len(set(first)) == len(first) < report.total_handovers
+        assert report.total_handovers > 0
+        assert sorted(calls) == [1, 5]
         calls.clear()
         assert run_simulation(scenario, table, model) == report
-        assert calls == first       # each run decides afresh
+        assert sorted(calls) == [1, 5]      # each run derives afresh
+        calls.clear()
+        run_simulation(fixed, None, model)
+        assert calls == []
+
+
+def mixed_nodes(n_mecs):
+    """n_mecs nodes cycling through 1 core, too few cores for the parallel
+    plan, and enough cores, on random-walk traces that cross the
+    threshold."""
+    return tuple(MecNode(cores=(1, 3, 5, 8)[i % 4],
+                         load_trace=walk_trace(20 + i, 40 + 60 * i, 90_000.0))
+                 for i in range(n_mecs))
+
+
+def assert_plans_follow_select_method(scenario, table, model):
+    report = run_simulation(scenario, table, model)
+    per_vehicle, per_mec, plan_counts = oracle_handovers(scenario, table)
+    assert [s.handovers for s in report.per_vehicle] == per_vehicle
+    assert [m.handovers for m in report.per_mec] == per_mec
+    assert [m.plan_counts for m in report.per_mec] == plan_counts
+    return report
+
+
+@pytest.mark.parametrize("which", ["rule_table", "fixed_plan"])
+def test_trace_scenario_plans_follow_select_method(calibrated, which):
+    table, model = calibrated
+    rule, fixed = trace_scenarios()
+    scenario = rule if which == "rule_table" else fixed
+    assert_plans_follow_select_method(scenario, table, model)
+
+
+@pytest.mark.parametrize("n_mecs", range(1, 9))
+def test_mixed_core_plans_follow_select_method(calibrated, n_mecs):
+    """Each handover's plan is the one select_method gives at the target's
+    load and cores, on nodes of 1, 3, 5 and 8 cores (parallel needs 5)."""
+    table, model = calibrated
+    scenario = make_scenario(mec_nodes=mixed_nodes(n_mecs), vehicles=6,
+                             seed=23 + n_mecs)
+    report = assert_plans_follow_select_method(scenario, table, model)
+    labels = {label for m in report.per_mec for label in m.plan_counts}
+    assert labels == ({KARATSUBA.label, TOOM_PAR.label} if n_mecs >= 3
+                      else {KARATSUBA.label})
+
+
+def test_threshold_boundary(calibrated):
+    """A load exactly at the calibrated threshold picks Karatsuba, and the
+    float just below it picks parallel Toom-Cook, as select_method does.
+    Calibrated thresholds are interpolated floats, so the pinned digests
+    never land on one."""
+    table, model = calibrated
+    (entry,) = table.entries
+    threshold = entry.threshold_parallel_vs_karatsuba_pct
+    below = math.nextafter(threshold, 0)
+    assert 0 < below < threshold < 100
+    assert select_method(table, SystemState(512, threshold, 5)) == KARATSUBA
+    assert select_method(table, SystemState(512, below, 5)) == TOOM_PAR
+    node = MecNode(cores=5, load_trace=((0, threshold), (45_000, below)))
+    scenario = make_scenario(mec_nodes=(node,), vehicles=4)
+    report = assert_plans_follow_select_method(scenario, table, model)
+    (mec,) = report.per_mec
+    assert set(mec.plan_counts) == {KARATSUBA.label, TOOM_PAR.label}
