@@ -136,7 +136,12 @@ def _parse_bands(text: str) -> list[tuple[int, int]]:
 
 
 class LiveTimer:
-    """predict() look-alike that actually multiplies and times it."""
+    """A time model whose pricer multiplies and times a real product.
+
+    Each call of a priced function draws fresh operands, seeded by the
+    timer's seed and its call count, and times one product: there is no
+    memo, so every handover of a live run pays for its own product.
+    """
 
     def __init__(self, seed: int, modulus: int):
         _check_modulus(modulus)
@@ -144,14 +149,20 @@ class LiveTimer:
         self._modulus = modulus
         self._calls = 0
 
-    def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
+    def pricer(self, plan: MethodPlan, degree: int):
         q = self._modulus
-        self._calls += 1
-        a = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 0), q)
-        b = Polynomial.random(degree, q, derive_seed(self._seed, self._calls, 1), q)
-        t0 = time.perf_counter_ns()
-        multiply(a, b, plan)
-        return float(time.perf_counter_ns() - t0)
+
+        def price(load_pct: float) -> float:
+            self._calls += 1
+            a = Polynomial.random(degree, q,
+                                  derive_seed(self._seed, self._calls, 0), q)
+            b = Polynomial.random(degree, q,
+                                  derive_seed(self._seed, self._calls, 1), q)
+            t0 = time.perf_counter_ns()
+            multiply(a, b, plan)
+            return float(time.perf_counter_ns() - t0)
+
+        return price
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,9 @@ def cmd_simulate(args) -> int:
     table = load_rules(args.rules) if args.rules else None
     if args.modulus is not None and not args.live:
         raise InvalidInputError("simulate --modulus needs --live")
+    if args.live and args.records:
+        raise InvalidInputError(
+            "simulate takes --live or --records, not both")
     if args.live:
         modulus = (DEFAULT_COEFF_BOUND if args.modulus is None
                    else args.modulus)

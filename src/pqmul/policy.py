@@ -22,6 +22,7 @@ import json
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 from .bench import BenchmarkRecord
 from .errors import (
@@ -281,6 +282,18 @@ def select_method(table: RuleTable, state: SystemState,
     return above if state.load_pct >= threshold else below
 
 
+def _interpolate(loads: tuple, times: tuple, load_pct: float) -> float:
+    """The curve's time at load_pct: linear between the sampled loads,
+    exact at them, clamped to the nearest endpoint outside the sweep."""
+    i = bisect_right(loads, load_pct)   # loads[i-1] <= load_pct < loads[i]
+    if i == 0:
+        return times[0]
+    if i == len(loads):
+        return times[-1]
+    l0, t0 = loads[i - 1], times[i - 1]
+    return t0 + (load_pct - l0) / (loads[i] - l0) * (times[i] - t0)
+
+
 class TimeModel:
     """Piecewise-linear mean-time curves per (plan, degree), from records."""
 
@@ -296,24 +309,43 @@ class TimeModel:
         return cls({key: tuple(zip(*sorted(_mean_curve(rs).items())))
                     for key, rs in groups.items()})
 
+    def _curve(self, plan: MethodPlan, degree: int) -> tuple | None:
+        return self._curves.get(
+            (plan.method, plan.k, plan.workers, plan.base_cutoff, degree))
+
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
         """Estimated mean duration (ns); exact at sampled loads.
 
         Loads outside the sampled sweep clamp to the nearest endpoint.
         """
-        key = (plan.method, plan.k, plan.workers, plan.base_cutoff, degree)
-        curve = self._curves.get(key)
+        curve = self._curve(plan, degree)
         if curve is None:
             raise CoverageError(
                 f"no calibration data for plan {plan.label} at degree {degree}")
+        return _interpolate(*curve, load_pct)
+
+    def pricer(self, plan: MethodPlan, degree: int):
+        """predict at this plan and degree, as a function of load alone.
+
+        The curve is looked up once.  A node's load is a step function of
+        time, so the function memoises its results by load, in a dict that
+        lives as long as the function does.  An uncovered plan raises
+        predict's CoverageError when the function is called, not here, so
+        binding a plan that a run never reaches is harmless.
+        """
+        curve = self._curve(plan, degree)
+        if curve is None:
+            return partial(self.predict, plan, degree)
         loads, times = curve
-        i = bisect_right(loads, load_pct)   # loads[i-1] <= load_pct < loads[i]
-        if i == 0:
-            return times[0]
-        if i == len(loads):
-            return times[-1]
-        l0, t0 = loads[i - 1], times[i - 1]
-        return t0 + (load_pct - l0) / (loads[i] - l0) * (times[i] - t0)
+        memo: dict[float, float] = {}
+
+        def price(load_pct: float) -> float:
+            ns = memo.get(load_pct)
+            if ns is None:
+                ns = memo[load_pct] = _interpolate(loads, times, load_pct)
+            return ns
+
+        return price
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ class MecNode:
     cores: int
     load_trace: tuple[tuple[float, float], ...]  # (time_ms, load_pct)
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _loads: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "load_trace",
                            tuple((float(t), float(l)) for t, l in self.load_trace))
         object.__setattr__(self, "_times", tuple(t for t, _ in self.load_trace))
+        object.__setattr__(self, "_loads", tuple(l for _, l in self.load_trace))
         _check_int(self.cores, "mec cores")
         if self.cores < 1:
             raise ScenarioError(f"mec cores must be >= 1, got {self.cores}")
@@ -65,7 +67,7 @@ class MecNode:
     def load_at(self, t_ms: float) -> float:
         """Load of the last breakpoint at or before t_ms (first if none)."""
         i = bisect_right(self._times, t_ms)
-        return self.load_trace[i - 1][1] if i else self.load_trace[0][1]
+        return self._loads[i - 1] if i else self._loads[0]
 
 
 @dataclass(frozen=True)
@@ -144,18 +146,32 @@ def _p95(sorted_values: list[float]) -> float:
     return sorted_values[rank - 1]
 
 
+def _plan_counts(rule: tuple, counts: list[int]) -> dict[str, int]:
+    """Handovers by plan label, sorted, from a rule (threshold, below,
+    above) and the handovers counted [below, above] its threshold."""
+    by_label: dict[str, int] = {}
+    for plan, count in zip(rule[1:], counts):
+        if count:
+            by_label[plan.label] = by_label.get(plan.label, 0) + count
+    return dict(sorted(by_label.items()))
+
+
 def run_simulation(scenario: Scenario, table: RuleTable | None,
                    time_model) -> SimReport:
     """Simulate the scenario and report handover crypto latencies.
 
-    time_model is anything with predict(plan, degree, load_pct) -> ns (the
-    calibrated TimeModel, or a live runner).  The degree is fixed, so a
-    node's plan is a step function of its load: the rule table's rule
-    (policy._rule) gives a threshold and the plans below and at or above
-    it, taken once per distinct core count per run, with both labels; a
-    fixed plan is the rule (0.0, plan, plan).  Each handover then makes one
-    comparison.  predict runs on every handover, since a live runner times
-    a fresh product on each call.
+    time_model is anything with pricer(plan, degree) -> price, where
+    price(load_pct) -> ns (the calibrated TimeModel, or a live runner).
+    The degree is fixed, so a node's plan is a step function of its load:
+    the rule table's rule (policy._rule) gives a threshold and the plans
+    below and at or above it, taken once per distinct core count per run; a
+    fixed plan is the rule (0.0, plan, plan).  One pricer is bound per
+    distinct plan in those rules, so a memo the pricer keeps (TimeModel's
+    does) serves every node on that plan, for this run only.  Each handover
+    then bisects its node's breakpoint times, makes one comparison with the
+    threshold and calls one price; a live runner times a fresh product on
+    each call.  Handovers are counted per node and per side of the
+    threshold, and folded into plan_counts by label at the end.
 
     Deterministic per seed.  Each handover draws straight from its
     vehicle's generator, because randrange and expovariate are pure-Python
@@ -172,20 +188,25 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
     duration_ms, mults = scenario.duration_ms, scenario.mults_per_handover
     rate = 1.0 / scenario.handover_interval_ms
     rule_table = scenario.policy_mode == "rule_table"
-    predict, log = time_model.predict, math.log
+    log = math.log
     n_mecs = len(nodes)
     others = n_mecs - 1
     bits = others.bit_length()
-    # per core count: (threshold, (below, label), (above, label)), this run
-    by_cores: dict[int, tuple] = {}
-    for cores in dict.fromkeys(node.cores for node in nodes):
-        threshold, below, above = (_rule(table, degree, cores) if rule_table
-                                   else (0.0, fixed_plan, fixed_plan))
-        by_cores[cores] = \
-            threshold, (below, below.label), (above, above.label)
-    rules = [by_cores[node.cores] for node in nodes]
+    # per core count: (threshold, below, above), taken once this run
+    rules = {cores: _rule(table, degree, cores) if rule_table
+             else (0.0, fixed_plan, fixed_plan)
+             for cores in dict.fromkeys(node.cores for node in nodes)}
+    plans = dict.fromkeys(plan for rule in rules.values() for plan in rule[1:])
+    pricers = {plan: time_model.pricer(plan, degree) for plan in plans}
+    # per node: handovers counted [below, above] its threshold
+    counts = [[0, 0] for _ in nodes]
+    # per node: breakpoint times and loads, threshold, both prices, counts
+    per_node = []
+    for node, sides in zip(nodes, counts):
+        threshold, below, above = rules[node.cores]
+        per_node.append((node._times, node._loads, threshold,
+                         pricers[below], pricers[above], sides))
     per_vehicle = []
-    mec_plans: list[dict[str, int]] = [{} for _ in range(n_mecs)]
     all_latencies: list[float] = []
 
     for v in range(scenario.vehicles):
@@ -203,18 +224,21 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
                     target += 1
             else:
                 target = current
-            load = nodes[target].load_at(t)
-            threshold, below, above = rules[target]
-            plan, label = above if load >= threshold else below
+            times, loads, threshold, below, above, sides = per_node[target]
+            # t >= 0 and every trace starts at time 0, so bisect gives >= 1
+            load = loads[bisect_right(times, t) - 1]
             try:
-                per_mult_ns = predict(plan, degree, load)
+                if load >= threshold:
+                    sides[1] += 1
+                    per_mult_ns = above(load)
+                else:
+                    sides[0] += 1
+                    per_mult_ns = below(load)
             except CoverageError as exc:
                 raise CoverageError(
                     f"vehicle {v} handover at t={t:.1f}ms to mec {target}: "
                     f"{exc}") from exc
             latencies.append(mults * per_mult_ns / 1e6)
-            plans = mec_plans[target]
-            plans[label] = plans.get(label, 0) + 1
             current = target
             t += -log(1.0 - uniform()) / rate
         latencies_sorted = sorted(latencies)
@@ -231,9 +255,10 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
         if all_latencies else 0.0,
         p95_latency_ms=_p95(all_sorted),
         per_vehicle=tuple(per_vehicle),
-        per_mec=tuple(MecStats(mec=i, handovers=sum(plans.values()),
-                               plan_counts=dict(sorted(plans.items())))
-                      for i, plans in enumerate(mec_plans)),
+        per_mec=tuple(MecStats(mec=i, handovers=sum(sides),
+                               plan_counts=_plan_counts(rules[node.cores],
+                                                        sides))
+                      for i, (node, sides) in enumerate(zip(nodes, counts))),
         policy_mode=scenario.policy_mode)
 
 

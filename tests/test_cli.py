@@ -14,7 +14,7 @@ from pqmul import (
     export_records,
     save_scenario,
 )
-from pqmul.cli import _parse_plan, main
+from pqmul.cli import LiveTimer, _parse_plan, main
 from pqmul.loadgen import usable_cpu_count
 from pqmul.simulator import MecNode, Scenario, run_simulation
 
@@ -389,8 +389,8 @@ class TestSimulate:
         live = json.loads(out.read_text())
 
         class Stub:
-            def predict(self, plan, degree, load_pct):
-                return 1.0
+            def pricer(self, plan, degree):
+                return lambda load_pct: 1.0
 
         # handover times come from the seed, never from the latencies
         model = run_simulation(scenario, None, Stub())
@@ -416,6 +416,42 @@ class TestSimulate:
         assert main(argv) == 0
         assert main(argv + ["--modulus", "8192"]) == 0
         assert seen == [4096, 8192]
+
+    def test_live_times_one_product_per_handover(self, tmp_path,
+                                                   monkeypatch):
+        import pqmul.cli as cli_mod
+
+        products, multiply = [], cli_mod.multiply
+
+        def counting(a, b, plan, *rest):
+            products.append(plan)
+            return multiply(a, b, plan, *rest)
+
+        monkeypatch.setattr(cli_mod, "multiply", counting)
+        spath, out = tmp_path / "scenario.json", tmp_path / "report.json"
+        save_scenario(self.LIVE_SCENARIO, spath)
+        assert main(["simulate", "--scenario", str(spath), "--live",
+                     "--format", "json", "--output", str(out)]) == 0
+        total = json.loads(out.read_text())["total_handovers"]
+        assert len(products) == total > 0
+
+    def test_live_pricer_times_every_call(self):
+        # the same load twice is two products: a live price keeps no memo
+        timer = LiveTimer(seed=1, modulus=4096)
+        price = timer.pricer(MethodPlan.karatsuba(base_cutoff=8), 32)
+        for calls, load in enumerate((10.0, 10.0, 10.0, 50.0), start=1):
+            assert price(load) > 0
+            assert timer._calls == calls
+
+    def test_records_need_no_live(self, tmp_path, capsys):
+        # a live run times real products, so records would go unused
+        _, rules, spath = self.make_files(tmp_path)
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(spath), "--rules",
+                     str(rules), "--live",
+                     "--records", str(tmp_path / "nonexistent.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: simulate takes --live or --records, not both\n"
 
     def test_modulus_needs_live(self, tmp_path, capsys):
         # the time model never multiplies, so a modulus would go unused

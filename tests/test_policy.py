@@ -316,6 +316,59 @@ class TestTimeModel:
             model.predict(MethodPlan.toom(4, base_cutoff=16), 512, 0)
 
 
+def inexact_model():
+    """A model whose cell means are inexact, from three runs per cell."""
+    rng = random.Random(5)
+    return TimeModel.from_records([
+        BenchmarkRecord(method=plan.method, k=plan.k, workers=plan.workers,
+                        base_cutoff=plan.base_cutoff, degree=512,
+                        load_pct=load, run_index=i,
+                        elapsed_ns=rng.randrange(10**6, 10**7),
+                        mult_count=1000)
+        for plan in (KARATSUBA, TOOM_SEQ, TOOM_PAR)
+        for load in LOADS for i in range(3)])
+
+
+class TestPricer:
+    #: sampled, interior and clamped loads, the zeros of either sign
+    PROBE_LOADS = [0, 10.0, 50, 0.5, 13.37, 49.999, -0.0, 50.001, 80.0, 100]
+
+    def test_equals_predict_also_on_repeated_loads(self):
+        model = inexact_model()
+        for plan in (KARATSUBA, TOOM_SEQ, TOOM_PAR):
+            price = model.pricer(plan, 512)
+            for load in self.PROBE_LOADS + self.PROBE_LOADS[::-1]:
+                assert price(load) == model.predict(plan, 512, load), load
+
+    def test_memo_per_priced_function(self, monkeypatch):
+        import pqmul.policy as policy
+
+        model, interpolate, interpolated = \
+            inexact_model(), policy._interpolate, []
+
+        def counting(loads, times, load_pct):
+            interpolated.append(load_pct)
+            return interpolate(loads, times, load_pct)
+
+        monkeypatch.setattr(policy, "_interpolate", counting)
+        distinct = len({*self.PROBE_LOADS})   # -0.0 == 0
+        for _ in range(2):   # a second function starts with an empty memo
+            interpolated.clear()
+            price = model.pricer(KARATSUBA, 512)
+            for load in self.PROBE_LOADS * 3:
+                price(load)
+            assert len(interpolated) == distinct
+
+    def test_coverage_error_only_when_called(self):
+        model = inexact_model()
+        for plan, degree in ((KARATSUBA, 821),
+                             (MethodPlan.toom(4, base_cutoff=16), 512)):
+            price = model.pricer(plan, degree)      # binding never raises
+            for _ in range(2):   # and a failure is not memoised
+                with pytest.raises(CoverageError, match="no calibration"):
+                    price(10.0)
+
+
 class TestRegret:
     def test_selected_plan_near_best_on_synthetic_data(self):
         records = records_from_curves(linear_curves(LOADS))

@@ -232,6 +232,21 @@ class TestRun:
         with pytest.raises(CoverageError, match="vehicle 0"):
             run_simulation(scenario, table, empty_model)
 
+    def test_unreached_uncovered_plan_does_not_fail_the_run(self,
+                                                            calibrated):
+        # the 5-core node's rule binds parallel Toom-Cook, which the model
+        # does not cover, but its load never falls below the threshold
+        table, _ = calibrated
+        karatsuba_only = TimeModel.from_records(records_from(
+            {KARATSUBA: {0: 1e6, 20: 1e6, 40: 1e6}}))
+        scenario = make_scenario(mec_nodes=(
+            MecNode(cores=5, load_trace=((0, 90), (40_000, 60))),
+            MecNode(cores=1, load_trace=((0, 0),))), vehicles=3)
+        report = run_simulation(scenario, table, karatsuba_only)
+        assert report.total_handovers > 0
+        assert {label for m in report.per_mec for label in m.plan_counts} \
+            == {KARATSUBA.label}
+
 
 class TestRender:
     def test_json_byte_identical(self, calibrated):
@@ -455,14 +470,20 @@ def test_draws_follow_the_generator_stream(calibrated, n_mecs):
 
 
 class CountingModel:
-    """A time model that counts its predict calls."""
+    """A time model that counts its pricer bindings and priced calls."""
 
     def __init__(self, model):
-        self.model, self.calls = model, 0
+        self.model, self.calls, self.bound = model, 0, []
 
-    def predict(self, plan, degree, load_pct):
-        self.calls += 1
-        return self.model.predict(plan, degree, load_pct)
+    def pricer(self, plan, degree):
+        self.bound.append(plan)
+        price = self.model.pricer(plan, degree)
+
+        def counted(load_pct):
+            self.calls += 1
+            return price(load_pct)
+
+        return counted
 
 
 class TestDecisionsPerRun:
@@ -476,6 +497,19 @@ class TestDecisionsPerRun:
         report = run_simulation(scenario, table, counting)
         assert report.total_handovers > 0
         assert counting.calls == report.total_handovers
+
+    def test_pricer_bound_once_per_plan(self, calibrated):
+        # the 5-core rule's Karatsuba is the 1-core nodes' default plan
+        table, model = calibrated
+        rule, fixed = trace_scenarios()
+        for scenario, plans in ((rule, {TOOM_PAR, KARATSUBA}),
+                                (fixed, {TOOM_PAR})):
+            counting = CountingModel(model)
+            for _ in range(2):     # each run binds its own pricers
+                counting.bound.clear()
+                run_simulation(scenario, table, counting)
+                assert len(counting.bound) == len(plans)
+                assert set(counting.bound) == plans
 
     def test_rule_once_per_core_count(self, calibrated, monkeypatch):
         import pqmul.simulator as simulator
