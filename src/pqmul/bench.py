@@ -11,13 +11,13 @@ identical mult_count columns (only the timings differ).
 from __future__ import annotations
 
 import csv
-import json
 import platform
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .errors import InvalidInputError, TimerResolutionError
+from .jsonfile import _need, read_json, write_json
 from .loadgen import LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan, multiply
 from .poly import OperationCounter, Polynomial, _check_modulus, derive_seed
@@ -186,56 +186,56 @@ def format_aggregate_table(stats: list[CellStats]) -> str:
 def export_records(records: list[BenchmarkRecord], path) -> None:
     """Write records as JSON if the path ends in .json, else as CSV (fixed
     column order, LF endings)."""
+    if str(path).endswith(".json"):
+        write_json([asdict(r) for r in records], path)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if str(path).endswith(".json"):
-            json.dump([dict(zip(CSV_COLUMNS, astuple(r))) for r in records],
-                      fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(astuple(r) for r in records)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(astuple(r) for r in records)
 
 
 def import_records(path) -> list[BenchmarkRecord]:
     """Read records written by export_records: JSON if the path ends in
     .json, else CSV."""
-    if not str(path).endswith(".json"):
-        with open(path, encoding="utf-8", newline="") as fh:
-            try:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames != list(CSV_COLUMNS):
-                    raise InvalidInputError(
-                        f"{path}: unexpected CSV header {reader.fieldnames}")
-                return [_record_from_row(row, path) for row in reader]
-            except (UnicodeDecodeError, csv.Error) as exc:
-                # bad UTF-8, or a field longer than csv.field_size_limit()
-                raise InvalidInputError(f"{path}: unreadable: {exc}") from exc
-    with open(path, encoding="utf-8") as fh:
+    if str(path).endswith(".json"):
+        return read_json(path, _records_from_json, InvalidInputError)
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
-            rows = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
-            raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(rows, list):
-        raise InvalidInputError(f"{path}: expected a JSON array of records")
-    return [_record_from_row(row, path, typed=True) for row in rows]
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != list(CSV_COLUMNS):
+                raise InvalidInputError(
+                    f"{path}: unexpected CSV header {reader.fieldnames}")
+            return [_record_from_row(row, path) for row in reader]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # bad UTF-8, or a field longer than csv.field_size_limit()
+            raise InvalidInputError(f"{path}: unreadable: {exc}") from exc
 
 
-def _record_from_row(row: dict, path, typed: bool = False) -> BenchmarkRecord:
-    """A record from a row of CSV strings, or of JSON values (typed), where
-    the method must be a str and every other field an int, not a bool."""
+def _record_from_row(row: dict, path) -> BenchmarkRecord:
+    """A record from a row of CSV strings, the fields after method parsed
+    with int()."""
     try:
         method, *ints = [row[col] for col in CSV_COLUMNS]
-        if typed and (type(method) is not str
-                      or any(type(v) is not int for v in ints)):
-            raise TypeError("method must be a string, the rest integers")
-        return BenchmarkRecord(str(method), *map(int, ints))
-    except (KeyError, TypeError, ValueError) as exc:
+        return BenchmarkRecord(method, *map(int, ints))
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: bad record row {row!r}: {exc}") from exc
 
 
+def _records_from_json(rows) -> list[BenchmarkRecord]:
+    """Records from a JSON array, each field read by _need: the method a
+    string, every other field an int."""
+    if not isinstance(rows, list):
+        raise InvalidInputError("expected a JSON array of records")
+    return [BenchmarkRecord(*(_need(row, col, str if col == "method" else int,
+                                    f"records[{i}]", InvalidInputError)
+                              for col in CSV_COLUMNS))
+            for i, row in enumerate(rows)]
+
+
 def host_metadata() -> dict:
-    """Host facts recorded next to benchmark results (cannot enforce idleness)."""
+    """Host facts recorded next to benchmark results (cannot enforce
+    idleness), keys in sorted order."""
     return {
         "cpu_count": usable_cpu_count(),
         "platform": platform.platform(),
@@ -244,8 +244,7 @@ def host_metadata() -> dict:
 
 
 def write_metadata_sidecar(records_path) -> str:
+    """Write host_metadata() next to the records; returns the path."""
     path = f"{records_path}.meta.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(host_metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(host_metadata(), path)
     return path

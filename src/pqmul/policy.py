@@ -18,8 +18,6 @@ save byte-identically.
 
 from __future__ import annotations
 
-import json
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -32,6 +30,7 @@ from .errors import (
     InvalidPlanError,
     RuleTableError,
 )
+from .jsonfile import _need, read_json, write_json
 from .multipliers import KARATSUBA, TOOMCOOK, MethodPlan
 
 RULE_FILE_VERSION = 1
@@ -377,27 +376,7 @@ def table_to_dict(table: RuleTable) -> dict:
 
 
 def save_rules(table: RuleTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(table_to_dict(table), fh, indent=2)
-        fh.write("\n")
-
-
-def _need(obj: dict, key: str, kind, where: str, error=RuleTableError):
-    """obj[key] if it has JSON type kind (float: any finite number), else
-    raise error naming the field path.  A bool is not a number."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise error(f"{where}.{key}: missing")
-    val = obj[key]
-    if kind is float:
-        # json reads NaN and Infinity; "not <=" also rejects NaN
-        if (not isinstance(val, (int, float)) or isinstance(val, bool)
-                or not abs(val) <= sys.float_info.max):
-            raise error(
-                f"{where}.{key}: expected a finite number, got {val!r}")
-        return float(val)
-    if not isinstance(val, kind) or isinstance(val, bool):
-        raise error(f"{where}.{key}: expected {kind.__name__}, got {val!r}")
-    return val
+    write_json(table_to_dict(table), path)
 
 
 def _plan_at(obj: dict, key: str, where: str,
@@ -446,12 +425,4 @@ def table_from_dict(data: dict) -> RuleTable:
 
 def load_rules(path) -> RuleTable:
     """Read and fully validate a rule file; errors name the offending field."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
-            raise RuleTableError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return table_from_dict(data)
-    except RuleTableError as exc:
-        raise RuleTableError(f"{path}: {exc}") from exc
+    return read_json(path, table_from_dict, RuleTableError)

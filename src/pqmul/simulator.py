@@ -16,12 +16,13 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 from .errors import CoverageError, InvalidInputError, ScenarioError
+from .jsonfile import _need, read_json, write_json
 from .multipliers import MethodPlan
-from .policy import RuleTable, _need, _plan_at, _rule
+from .policy import RuleTable, _plan_at, _rule
 from .poly import derive_seed
 
 POLICY_MODES = ("rule_table", "fixed_plan")
@@ -131,12 +132,12 @@ class MecStats:
 
 @dataclass(frozen=True)
 class SimReport:
+    policy_mode: str
     total_handovers: int
     mean_latency_ms: float
     p95_latency_ms: float
-    per_vehicle: tuple[VehicleStats, ...]
-    per_mec: tuple[MecStats, ...]
-    policy_mode: str
+    per_mec: list[MecStats]
+    per_vehicle: list[VehicleStats]
 
 
 def _p95(sorted_values: list[float]) -> float:
@@ -250,31 +251,19 @@ def run_simulation(scenario: Scenario, table: RuleTable | None,
 
     all_sorted = sorted(all_latencies)
     return SimReport(
+        policy_mode=scenario.policy_mode,
         total_handovers=len(all_latencies),
         mean_latency_ms=(sum(all_latencies) / len(all_latencies))
         if all_latencies else 0.0,
         p95_latency_ms=_p95(all_sorted),
-        per_vehicle=tuple(per_vehicle),
-        per_mec=tuple(MecStats(mec=i, handovers=sum(sides),
-                               plan_counts=_plan_counts(rules[node.cores],
-                                                        sides))
-                      for i, (node, sides) in enumerate(zip(nodes, counts))),
-        policy_mode=scenario.policy_mode)
+        per_mec=[MecStats(mec=i, handovers=sum(sides),
+                          plan_counts=_plan_counts(rules[node.cores], sides))
+                 for i, (node, sides) in enumerate(zip(nodes, counts))],
+        per_vehicle=per_vehicle)
 
 
-def report_to_dict(report: SimReport) -> dict:
-    return {
-        "policy_mode": report.policy_mode,
-        "total_handovers": report.total_handovers,
-        "mean_latency_ms": report.mean_latency_ms,
-        "p95_latency_ms": report.p95_latency_ms,
-        "per_mec": [{"mec": m.mec, "handovers": m.handovers,
-                     "plan_counts": m.plan_counts} for m in report.per_mec],
-        "per_vehicle": [{"vehicle": v.vehicle, "handovers": v.handovers,
-                         "mean_latency_ms": v.mean_latency_ms,
-                         "p95_latency_ms": v.p95_latency_ms}
-                        for v in report.per_vehicle],
-    }
+#: SimReport and its stats list their fields in the JSON report's key order.
+report_to_dict = asdict
 
 
 def render_report(report: SimReport, fmt: str = "text") -> str:
@@ -362,18 +351,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, too many digits
-            raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return scenario_from_dict(data)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return read_json(path, scenario_from_dict, ScenarioError)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
+    write_json(scenario_to_dict(scenario), path)
