@@ -13,11 +13,8 @@ a handover simulator that exercises the decision loop end to end
 from .bench import (
     BenchmarkRecord,
     BenchmarkSpec,
-    CellStats,
     aggregate,
     export_records,
-    format_aggregate_table,
-    host_metadata,
     import_records,
     run_benchmark,
 )
@@ -35,9 +32,8 @@ from .errors import (
     ScenarioError,
     TimerResolutionError,
 )
-from .loadgen import LoadHandle, LoadProfile, measure_achieved_load, start_load, stop_load
+from .loadgen import LoadProfile, measure_achieved_load, start_load, stop_load
 from .multipliers import (
-    DEFAULT_BASE_CUTOFF,
     MethodPlan,
     evaluate_parts,
     interpolate,
@@ -49,8 +45,6 @@ from .multipliers import (
 )
 from .parallel import shutdown_pools
 from .policy import (
-    RuleEntry,
-    RuleTable,
     SystemState,
     TimeModel,
     calibrate,
@@ -62,7 +56,6 @@ from .poly import OperationCounter, Polynomial, schoolbook_mul
 from .simulator import (
     MecNode,
     Scenario,
-    SimReport,
     load_scenario,
     render_report,
     run_simulation,

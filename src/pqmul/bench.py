@@ -6,17 +6,22 @@ operands on the monotonic clock.  Cells run strictly sequentially; fresh
 operands per run are derived deterministically from the spec seed and the
 cell indices, so two runs of the same spec produce identical operands and
 identical mult_count columns (only the timings differ).
+
+Records files are CSV, or JSON (through jsonfile, each field read by
+_need).  Every record read from either is range-checked by _check_records,
+so a negative time or a load above 100 is invalid input, not a result.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import platform
 import statistics
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .errors import InvalidInputError, TimerResolutionError
+from .errors import InvalidInputError, InvalidPlanError, TimerResolutionError
 from .jsonfile import _need, read_json, write_json
 from .loadgen import LoadProfile, start_load, usable_cpu_count
 from .multipliers import MethodPlan, multiply
@@ -197,7 +202,7 @@ def export_records(records: list[BenchmarkRecord], path) -> None:
 
 def import_records(path) -> list[BenchmarkRecord]:
     """Read records written by export_records: JSON if the path ends in
-    .json, else CSV."""
+    .json, else CSV.  Every record read is checked by _check_records."""
     if str(path).endswith(".json"):
         return read_json(path, _records_from_json, InvalidInputError)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -205,21 +210,24 @@ def import_records(path) -> list[BenchmarkRecord]:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(CSV_COLUMNS):
                 raise InvalidInputError(
-                    f"{path}: unexpected CSV header {reader.fieldnames}")
-            return [_record_from_row(row, path) for row in reader]
+                    f"unexpected CSV header {reader.fieldnames}")
+            return _check_records([_record_from_row(row, f"records[{i}]")
+                                   for i, row in enumerate(reader)])
         except (UnicodeDecodeError, csv.Error) as exc:
             # bad UTF-8, or a field longer than csv.field_size_limit()
             raise InvalidInputError(f"{path}: unreadable: {exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _record_from_row(row: dict, path) -> BenchmarkRecord:
+def _record_from_row(row: dict, where: str) -> BenchmarkRecord:
     """A record from a row of CSV strings, the fields after method parsed
     with int()."""
     try:
         method, *ints = [row[col] for col in CSV_COLUMNS]
         return BenchmarkRecord(method, *map(int, ints))
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: bad record row {row!r}: {exc}") from exc
+        raise InvalidInputError(f"{where}: bad record row {row!r}: {exc}") from exc
 
 
 def _records_from_json(rows) -> list[BenchmarkRecord]:
@@ -227,10 +235,35 @@ def _records_from_json(rows) -> list[BenchmarkRecord]:
     string, every other field an int."""
     if not isinstance(rows, list):
         raise InvalidInputError("expected a JSON array of records")
-    return [BenchmarkRecord(*(_need(row, col, str if col == "method" else int,
-                                    f"records[{i}]", InvalidInputError)
-                              for col in CSV_COLUMNS))
-            for i, row in enumerate(rows)]
+    return _check_records([
+        BenchmarkRecord(*(_need(row, col, str if col == "method" else int,
+                                f"records[{i}]", InvalidInputError)
+                          for col in CSV_COLUMNS))
+        for i, row in enumerate(rows)])
+
+
+#: The inclusive range of each count and measurement in a record read from
+#: a file; run_benchmark writes elapsed_ns >= 1.
+_RECORD_RANGES = {"degree": (1, math.inf), "load_pct": (0, 100),
+                  "run_index": (0, math.inf), "elapsed_ns": (1, math.inf),
+                  "mult_count": (1, math.inf)}
+
+
+def _check_records(records: list[BenchmarkRecord]) -> list[BenchmarkRecord]:
+    """records, if each has its fields in _RECORD_RANGES and a valid plan;
+    else InvalidInputError naming the first bad field."""
+    for i, r in enumerate(records):
+        for name, (low, high) in _RECORD_RANGES.items():
+            value = getattr(r, name)
+            if not low <= value <= high:
+                bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                raise InvalidInputError(
+                    f"records[{i}].{name}: must be {bound}, got {value}")
+        try:
+            r.plan
+        except InvalidPlanError as exc:
+            raise InvalidInputError(f"records[{i}]: {exc}") from exc
+    return records
 
 
 def host_metadata() -> dict:

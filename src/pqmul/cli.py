@@ -45,7 +45,7 @@ from .multipliers import (
     predicted_mult_count,
 )
 from .policy import TimeModel, calibrate, load_rules, save_rules, select_method
-from .policy import SystemState
+from .policy import SystemState, _check_bands
 from .poly import (
     OperationCounter,
     Polynomial,
@@ -126,12 +126,15 @@ def _parse_plan(token: str) -> MethodPlan:
 
 
 def _parse_bands(text: str) -> list[tuple[int, int]]:
+    """The bands of --bands, sorted, once calibrate's band check passes."""
     bands = []
     for token in text.split(","):
         lo, sep, hi = token.partition("-")
         if not sep:
             raise InvalidInputError(f"band must be min-max, got {token!r}")
         bands.append((_int(lo, token), _int(hi, token)))
+    bands.sort()
+    _check_bands(bands, "--bands", InvalidInputError)
     return bands
 
 
@@ -237,10 +240,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    bands = _parse_bands(args.bands) if args.bands else None
     records = import_records(args.records)
-    if args.bands:
-        bands = _parse_bands(args.bands)
-    else:
+    if bands is None:
         bands = [(d, d) for d in sorted({r.degree for r in records})]
     table = calibrate(records, bands)
     save_rules(table, args.out)

@@ -12,8 +12,8 @@ then widens the threshold in favor of the previous plan.  Sequential
 Toom-Cook is calibrated and reported but never selected - at one worker it
 is dominated by Karatsuba.
 
-The rule file is JSON (schema in save_rules) and survives save -> load ->
-save byte-identically.
+The rule file is JSON (schema in table_to_dict), read and written through
+jsonfile, and survives save -> load -> save byte-identically.
 """
 
 from __future__ import annotations
@@ -76,6 +76,18 @@ class RuleEntry:
         return self.degree_min <= degree <= self.degree_max
 
 
+def _check_bands(bands: list[tuple[int, int]], where: str, error) -> None:
+    """Raise error unless each degree band (min, max) has min <= max and
+    starts after the band before it ends.  where.format(i=i) names band i."""
+    for i, (lo, hi) in enumerate(bands):
+        if lo > hi:
+            raise error(f"{where.format(i=i)}: band [{lo}, {hi}] has min > max")
+        if i and lo <= bands[i - 1][1]:
+            raise error(
+                f"{where.format(i=i)}: band [{lo}, {hi}] overlaps or is out "
+                f"of order with [{bands[i - 1][0]}, {bands[i - 1][1]}]")
+
+
 @dataclass(frozen=True)
 class RuleTable:
     """The persisted decision table: ordered disjoint degree bands."""
@@ -92,17 +104,10 @@ class RuleTable:
             raise RuleTableError(
                 f"default_plan must be sequential Karatsuba, got "
                 f"{self.default_plan.label}")
-        prev = None
+        _check_bands([(e.degree_min, e.degree_max) for e in self.entries],
+                     "entries[{i}].degree_band", RuleTableError)
         for i, e in enumerate(self.entries):
             where = f"entries[{i}]"
-            if e.degree_min > e.degree_max:
-                raise RuleTableError(
-                    f"{where}.degree_band: min {e.degree_min} > max {e.degree_max}")
-            if prev is not None and e.degree_min <= prev.degree_max:
-                raise RuleTableError(
-                    f"{where}.degree_band: band [{e.degree_min}, {e.degree_max}] "
-                    f"overlaps or is out of order with "
-                    f"[{prev.degree_min}, {prev.degree_max}]")
             for name, thr in (
                     ("parallel_vs_karatsuba_pct",
                      e.threshold_parallel_vs_karatsuba_pct),
@@ -128,7 +133,6 @@ class RuleTable:
             if e.sequential_plan.method != TOOMCOOK or e.sequential_plan.workers != 1:
                 raise RuleTableError(
                     f"{where}.plans.sequential: must be sequential Toom-Cook")
-            prev = e
 
     def entry_for(self, degree: int) -> RuleEntry | None:
         for e in self.entries:
@@ -172,18 +176,20 @@ def calibrate(records: list[BenchmarkRecord],
               degree_bands: list[tuple[int, int]]) -> RuleTable:
     """Build a rule table from benchmark records.
 
-    Each band needs all three candidate plans (sequential Karatsuba,
-    sequential Toom-Cook, parallel Toom-Cook) measured at three or more
-    common load levels including 0.
+    A reversed or overlapping band raises InvalidInputError before any
+    record is looked at.  Each band needs all three candidate plans
+    (sequential Karatsuba, sequential Toom-Cook, parallel Toom-Cook)
+    measured at three or more common load levels including 0.
     """
+    bands = sorted(degree_bands)
+    _check_bands(bands, "degree bands", InvalidInputError)
     if not records:
         raise CalibrationError("no benchmark records supplied")
-    if not degree_bands:
+    if not bands:
         raise CalibrationError("no degree bands supplied")
     entries = []
     karatsuba_plan_global = None
-    for band in sorted(degree_bands):
-        lo, hi = band
+    for lo, hi in bands:
         in_band = [r for r in records if lo <= r.degree <= hi]
         roles: dict[str, dict] = {}
         for r in in_band:

@@ -7,7 +7,8 @@ The plan for those multiplications comes either from the rule table (reading
 the node's instantaneous background load off its trace) or from a fixed
 plan, and the latency is taken from the calibrated time model, which keeps
 runs fast and machine-reproducible.  Everything is deterministic for a
-fixed seed.
+fixed seed.  Scenario files are read and written through jsonfile, and the
+JSON report is dataclasses.asdict of the SimReport.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Benchmark harness: grid execution, aggregation, record round-trips."""
 
 import json
-from dataclasses import astuple
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -13,12 +13,11 @@ from pqmul import (
     MethodPlan,
     aggregate,
     export_records,
-    host_metadata,
     import_records,
     predicted_mult_count,
     run_benchmark,
 )
-from pqmul.bench import CSV_COLUMNS
+from pqmul.bench import CSV_COLUMNS, host_metadata, write_metadata_sidecar
 from pqmul.loadgen import usable_cpu_count
 
 
@@ -39,6 +38,15 @@ def fake_record(load_pct=0, run_index=0, elapsed_ns=1_000_000, degree=512):
                            degree=degree, load_pct=load_pct,
                            run_index=run_index, elapsed_ns=elapsed_ns,
                            mult_count=19683)
+
+
+def json_rows(drop=None, **fields) -> str:
+    """Three records as JSON; the last one's fields overridden, or with
+    the field drop left out."""
+    rows = [asdict(fake_record(run_index=i)) for i in range(3)]
+    rows[2].update(fields)
+    rows[2].pop(drop, None)
+    return json.dumps(rows)
 
 
 class TestSpecValidation:
@@ -153,24 +161,73 @@ class TestRoundTrips:
         with pytest.raises(InvalidInputError):
             import_records(path)
 
-    @pytest.mark.parametrize("text", [
-        "[[0",
-        "[[0]]",
-        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())), k=None)]),
-        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
-                         method=None)]),
-        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())), k=2.7)]),
-        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
-                         workers=True)]),
-        json.dumps([dict(zip(CSV_COLUMNS, astuple(fake_record())),
-                         degree="512")]),
+    @pytest.mark.parametrize("text, where", [
+        ("[[0", "not valid JSON"),
+        ("[[0]]", r"records\[0\]\.method: missing"),
+        (json_rows(k=None), r"records\[2\]\.k: expected int, got None"),
+        (json_rows(method=None),
+         r"records\[2\]\.method: expected str, got None"),
+        (json_rows(k=2.7), r"records\[2\]\.k: expected int, got 2\.7"),
+        (json_rows(workers=True),
+         r"records\[2\]\.workers: expected int, got True"),
+        (json_rows(degree="512"),
+         r"records\[2\]\.degree: expected int, got '512'"),
+        (json_rows(elapsed_ns=2.7),
+         r"records\[2\]\.elapsed_ns: expected int, got 2\.7"),
+        (json_rows(mult_count=None, drop="mult_count"),
+         r"records\[2\]\.mult_count: missing"),
     ], ids=["invalid", "list_row", "null_field", "null_method", "float_k",
-            "bool_workers", "string_degree"])
-    def test_malformed_json_names_path(self, text, tmp_path):
+            "bool_workers", "string_degree", "float_elapsed_ns",
+            "missing_mult_count"])
+    def test_malformed_json_names_path(self, text, where, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        with pytest.raises(InvalidInputError, match="bad.json"):
+        with pytest.raises(InvalidInputError, match=rf"bad\.json: {where}"):
             import_records(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("load_pct", -1, r"\.load_pct: must be in \[0, 100\], got -1"),
+        ("load_pct", 101, r"\.load_pct: must be in \[0, 100\], got 101"),
+        ("elapsed_ns", 0, r"\.elapsed_ns: must be >= 1, got 0"),
+        ("run_index", -1, r"\.run_index: must be >= 0, got -1"),
+        ("degree", 0, r"\.degree: must be >= 1, got 0"),
+        ("mult_count", 0, r"\.mult_count: must be >= 1, got 0"),
+        ("method", "fft", r": unknown method 'fft'"),
+        ("k", 3, r": Karatsuba requires k=2, got k=3"),
+        ("workers", 0, r": workers must be >= 1, got 0"),
+        ("base_cutoff", 0, r": base_cutoff must be >= 1, got 0"),
+    ], ids=["load_pct_low", "load_pct_high", "elapsed_ns", "run_index",
+            "degree", "mult_count", "method", "k", "workers", "base_cutoff"])
+    def test_out_of_range_record_names_path_and_field(
+            self, fmt, field, value, message, tmp_path):
+        records = [fake_record(run_index=i) for i in range(3)]
+        records[2] = replace(records[2], **{field: value})
+        path = tmp_path / f"bad.{fmt}"
+        export_records(records, path)
+        with pytest.raises(InvalidInputError,
+                           match=rf"bad\.{fmt}: records\[2\]{message}"):
+            import_records(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_range_edges_accepted(self, fmt, tmp_path):
+        records = [fake_record(load_pct=0, run_index=0, elapsed_ns=1,
+                               degree=1),
+                   replace(fake_record(load_pct=100), mult_count=1)]
+        path = tmp_path / f"edges.{fmt}"
+        export_records(records, path)
+        assert import_records(path) == records
+
+
+def test_metadata_sidecar_bytes_pinned(tmp_path):
+    """Sorted keys, two-space indent, one trailing LF."""
+    path = write_metadata_sidecar(tmp_path / "r.csv")
+    assert path == f"{tmp_path / 'r.csv'}.meta.json"
+    meta = host_metadata()
+    assert list(meta) == sorted(meta)
+    with open(path, "rb") as fh:
+        assert fh.read() == (json.dumps(meta, indent=2, sort_keys=True)
+                             + "\n").encode()
 
 
 def test_host_metadata_documents_core_count():

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from pqmul import (
-    DEFAULT_BASE_CUTOFF,
     BenchmarkRecord,
     MethodPlan,
     export_records,
@@ -16,6 +15,7 @@ from pqmul import (
 )
 from pqmul.cli import LiveTimer, _parse_plan, main
 from pqmul.loadgen import usable_cpu_count
+from pqmul.multipliers import DEFAULT_BASE_CUTOFF
 from pqmul.simulator import MecNode, Scenario, run_simulation
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
@@ -294,6 +294,20 @@ class TestCalibrateSelect:
         data = json.loads(rules.read_text())
         assert data["entries"][0]["degree_band"] == {"min": 1, "max": 1024}
 
+    @pytest.mark.parametrize("bands, message", [
+        ("600-500", "--bands: band [600, 500] has min > max"),
+        ("1-600,500-700", "--bands: band [500, 700] overlaps or is out of "
+                          "order with [1, 600]"),
+    ], ids=["reversed", "overlapping"])
+    def test_bad_band_exit_2_before_records_read(self, bands, message,
+                                                 tmp_path, capsys):
+        # the records file does not exist: the band is rejected first
+        assert main(["calibrate", "--records", str(tmp_path / "none.csv"),
+                     "--bands", bands,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_insufficient_records_exit_5(self, tmp_path, capsys):
         records = []
         for load in (0, 10, 20):
@@ -452,6 +466,20 @@ class TestSimulate:
                      "--records", str(tmp_path / "nonexistent.csv")]) == 2
         assert capsys.readouterr().err == \
             "error: simulate takes --live or --records, not both\n"
+
+    def test_out_of_range_records_exit_2(self, tmp_path, capsys):
+        _, rules, spath = self.make_files(tmp_path)
+        bad = tmp_path / "bad.json"
+        export_records([BenchmarkRecord(
+            method="karatsuba", k=2, workers=1, base_cutoff=16, degree=512,
+            load_pct=0, run_index=0, elapsed_ns=-110, mult_count=1000)], bad)
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(spath), "--rules",
+                     str(rules), "--records", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: records[0].elapsed_ns: "
+                                f"must be >= 1, got -110\n")
 
     def test_modulus_needs_live(self, tmp_path, capsys):
         # the time model never multiplies, so a modulus would go unused

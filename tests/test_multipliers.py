@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqmul import (
-    DEFAULT_BASE_CUTOFF,
     InternalArithmeticError,
     InvalidPlanError,
     MethodPlan,
@@ -34,6 +33,7 @@ from pqmul import (
     split,
 )
 from pqmul.multipliers import (
+    DEFAULT_BASE_CUTOFF,
     _MEMO_ENTRIES,
     _STEPS,
     _engine_bits,

@@ -9,9 +9,8 @@ from pqmul import (
     BenchmarkRecord,
     CalibrationError,
     CoverageError,
+    InvalidInputError,
     MethodPlan,
-    RuleEntry,
-    RuleTable,
     SystemState,
     TimeModel,
     calibrate,
@@ -19,7 +18,7 @@ from pqmul import (
     save_rules,
     select_method,
 )
-from pqmul.policy import HYSTERESIS_PCT, table_to_dict
+from pqmul.policy import HYSTERESIS_PCT, RuleEntry, RuleTable, table_to_dict
 
 KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
 TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
@@ -125,6 +124,17 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="toom3-w5.*load 20"):
             calibrate(records_from_curves(curves), [(512, 512)])
 
+    @pytest.mark.parametrize("bands, message", [
+        ([(600, 500)], r"band \[600, 500\] has min > max"),
+        ([(500, 700), (1, 600)],
+         r"band \[500, 700\] overlaps .* \[1, 600\]"),
+    ], ids=["reversed", "overlapping"])
+    def test_bad_band_is_invalid_input_before_records(self, bands, message):
+        for records in (records_from_curves(linear_curves(LOADS)), []):
+            with pytest.raises(InvalidInputError, match=message) as exc:
+                calibrate(records, bands)
+            assert not isinstance(exc.value, CalibrationError)
+
     def test_ambiguous_role_rejected(self):
         curves = linear_curves(LOADS)
         other_par = MethodPlan.toom(4, workers=3, base_cutoff=16)
@@ -178,6 +188,12 @@ class TestRuleTableValidation:
         e2 = make_entry(degree_min=500, degree_max=1024)
         with pytest.raises(RuleTableError, match=r"\[500, 1024\].*\[1, 600\]"):
             make_table([e1, e2])
+
+    def test_reversed_band_named(self):
+        from pqmul import RuleTableError
+        with pytest.raises(RuleTableError, match=r"entries\[1\]\.degree_band: "
+                           r"band \[1025, 1024\] has min > max"):
+            make_table([make_entry(), make_entry(degree_min=1025)])
 
     def test_threshold_range(self):
         from pqmul import RuleTableError

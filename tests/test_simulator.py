@@ -272,6 +272,12 @@ class TestRender:
         assert d["total_handovers"] == report.total_handovers
         assert len(d["per_vehicle"]) == len(report.per_vehicle)
 
+    def test_report_dict_is_the_json_report(self, calibrated):
+        table, model = calibrated
+        report = run_simulation(make_scenario(), table, model)
+        assert report_to_dict(report) == \
+            json.loads(render_report(report, "json"))
+
     def test_unknown_format(self, calibrated):
         from pqmul import InvalidInputError
         table, model = calibrated
