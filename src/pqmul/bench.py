@@ -153,24 +153,33 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
     return records
 
 
-def aggregate(records: list[BenchmarkRecord]) -> list[CellStats]:
-    """Per-cell mean/std/min/max of elapsed_ns, in first-appearance order."""
-    if not records:
-        raise InvalidInputError("no records to aggregate")
+def _cells(records: list[BenchmarkRecord]) -> dict[tuple, list]:
+    """The records of each (method, k, workers, base_cutoff, degree,
+    load_pct) cell, cells in first-appearance order."""
     cells: dict[tuple, list[BenchmarkRecord]] = {}
     for r in records:
         key = (r.method, r.k, r.workers, r.base_cutoff, r.degree, r.load_pct)
         cells.setdefault(key, []).append(r)
+    return cells
+
+
+def _cell_ns(records: list[BenchmarkRecord]) -> float:
+    """The time of a cell (or of cells pooled), as calibrate and TimeModel
+    read it: the integer sum of elapsed_ns over the number of records."""
+    return sum(r.elapsed_ns for r in records) / len(records)
+
+
+def aggregate(records: list[BenchmarkRecord]) -> list[CellStats]:
+    """Per-cell mean/std/min/max of elapsed_ns, in first-appearance order."""
+    if not records:
+        raise InvalidInputError("no records to aggregate")
     out = []
-    for key, rs in cells.items():
+    for key, rs in _cells(records).items():
         times = [r.elapsed_ns for r in rs]
         out.append(CellStats(
-            method=key[0], k=key[1], workers=key[2], base_cutoff=key[3],
-            degree=key[4], load_pct=key[5], runs=len(rs),
-            mean_ns=statistics.fmean(times),
-            std_ns=statistics.pstdev(times),
-            min_ns=min(times), max_ns=max(times),
-            mult_count=rs[0].mult_count))
+            *key, runs=len(rs), mean_ns=statistics.fmean(times),
+            std_ns=statistics.pstdev(times), min_ns=min(times),
+            max_ns=max(times), mult_count=rs[0].mult_count))
     return out
 
 

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
-from .bench import BenchmarkRecord
+from .bench import BenchmarkRecord, _cell_ns, _cells
 from .errors import (
     CalibrationError,
     CoverageError,
@@ -145,15 +145,6 @@ class RuleTable:
 # calibration
 # ---------------------------------------------------------------------------
 
-def _mean_curve(records: list[BenchmarkRecord]) -> dict[int, float]:
-    sums: dict[int, list] = {}
-    for r in records:
-        acc = sums.setdefault(r.load_pct, [0, 0])
-        acc[0] += r.elapsed_ns
-        acc[1] += 1
-    return {load: s / n for load, (s, n) in sums.items()}
-
-
 def _first_crossover(loads: list[int], parallel: dict[int, float],
                      rival: dict[int, float]) -> float:
     """First load at which the rival's mean time beats the parallel plan's.
@@ -172,6 +163,11 @@ def _first_crossover(loads: list[int], parallel: dict[int, float],
     return 100.0
 
 
+#: The role of each calibrated plan, by (method, workers > 1).
+_ROLES = {(KARATSUBA, False): "karatsuba", (TOOMCOOK, True): "parallel",
+          (TOOMCOOK, False): "sequential"}
+
+
 def calibrate(records: list[BenchmarkRecord],
               degree_bands: list[tuple[int, int]]) -> RuleTable:
     """Build a rule table from benchmark records.
@@ -187,45 +183,40 @@ def calibrate(records: list[BenchmarkRecord],
         raise CalibrationError("no benchmark records supplied")
     if not bands:
         raise CalibrationError("no degree bands supplied")
+    cells = _cells(records)
     entries = []
-    karatsuba_plan_global = None
     for lo, hi in bands:
-        in_band = [r for r in records if lo <= r.degree <= hi]
-        roles: dict[str, dict] = {}
-        for r in in_band:
-            if r.method == KARATSUBA and r.workers == 1:
-                role = "karatsuba"
-            elif r.method == TOOMCOOK and r.workers > 1:
-                role = "parallel"
-            elif r.method == TOOMCOOK and r.workers == 1:
-                role = "sequential"
-            else:
+        pooled: dict[tuple, dict[int, list]] = {}   # plan -> load -> records
+        for (*plan, degree, load), rs in cells.items():
+            if lo <= degree <= hi:
+                by_load = pooled.setdefault(tuple(plan), {})
+                by_load[load] = by_load.get(load, []) + rs
+        plans, curves = {}, {}   # role -> its plan, its time per load
+        for key, by_load in pooled.items():
+            role = _ROLES.get((key[0], key[2] > 1))
+            if role is None:
                 continue
-            plan = r.plan
-            slot = roles.setdefault(role, {"plan": plan, "records": []})
-            if slot["plan"] != plan:
+            plan = MethodPlan(*key)
+            if role in plans:
                 raise CalibrationError(
                     f"band [{lo}, {hi}]: two distinct {role} plans in the "
-                    f"records ({slot['plan'].label} and {plan.label})")
-            slot["records"].append(r)
+                    f"records ({plans[role].label} and {plan.label})")
+            plans[role] = plan
+            curves[role] = {load: _cell_ns(rs) for load, rs in by_load.items()}
 
         missing = [role for role in ("karatsuba", "parallel", "sequential")
-                   if role not in roles]
+                   if role not in plans]
         if missing:
             raise CalibrationError(
                 f"band [{lo}, {hi}]: no records for plan(s) {missing}")
-        curves = {role: _mean_curve(slot["records"])
-                  for role, slot in roles.items()}
-        common = sorted(set(curves["karatsuba"])
-                        & set(curves["parallel"])
-                        & set(curves["sequential"]))
+        common = sorted(set.intersection(*map(set, curves.values())))
         if len(common) < 3 or 0 not in common:
             gaps = []
             for role in ("karatsuba", "parallel", "sequential"):
                 have = set(curves[role])
                 want = set().union(*(set(c) for c in curves.values())) | {0}
                 for load in sorted(want - have):
-                    gaps.append(f"([{lo}, {hi}], {roles[role]['plan'].label}, "
+                    gaps.append(f"([{lo}, {hi}], {plans[role].label}, "
                                 f"load {load})")
             raise CalibrationError(
                 f"band [{lo}, {hi}]: need >= 3 common load levels including 0, "
@@ -233,18 +224,17 @@ def calibrate(records: list[BenchmarkRecord],
 
         entries.append(RuleEntry(
             degree_min=lo, degree_max=hi,
-            min_cores=roles["parallel"]["plan"].workers,
+            min_cores=plans["parallel"].workers,
             threshold_parallel_vs_karatsuba_pct=_first_crossover(
                 common, curves["parallel"], curves["karatsuba"]),
             threshold_parallel_vs_sequential_pct=_first_crossover(
                 common, curves["parallel"], curves["sequential"]),
-            parallel_plan=roles["parallel"]["plan"],
-            karatsuba_plan=roles["karatsuba"]["plan"],
-            sequential_plan=roles["sequential"]["plan"]))
-        karatsuba_plan_global = karatsuba_plan_global or roles["karatsuba"]["plan"]
+            parallel_plan=plans["parallel"],
+            karatsuba_plan=plans["karatsuba"],
+            sequential_plan=plans["sequential"]))
     try:
         return RuleTable(entries=tuple(entries),
-                         default_plan=karatsuba_plan_global)
+                         default_plan=entries[0].karatsuba_plan)
     except RuleTableError as exc:
         raise CalibrationError(f"records produce an invalid table: {exc}") from exc
 
@@ -307,12 +297,11 @@ class TimeModel:
 
     @classmethod
     def from_records(cls, records: list[BenchmarkRecord]) -> "TimeModel":
-        groups: dict[tuple, list[BenchmarkRecord]] = {}
-        for r in records:
-            key = (r.method, r.k, r.workers, r.base_cutoff, r.degree)
-            groups.setdefault(key, []).append(r)
-        return cls({key: tuple(zip(*sorted(_mean_curve(rs).items())))
-                    for key, rs in groups.items()})
+        curves: dict[tuple, dict[int, float]] = {}
+        for (*plan_degree, load), rs in _cells(records).items():
+            curves.setdefault(tuple(plan_degree), {})[load] = _cell_ns(rs)
+        return cls({key: tuple(zip(*sorted(curve.items())))
+                    for key, curve in curves.items()})
 
     def _curve(self, plan: MethodPlan, degree: int) -> tuple | None:
         return self._curves.get(
