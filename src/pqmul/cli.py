@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -138,6 +139,19 @@ def _parse_bands(text: str) -> list[tuple[int, int]]:
     return bands
 
 
+def _check_output(path: str | None) -> None:
+    """Raise InvalidInputError if the output file path (None: stdout) is in
+    a directory that does not exist, or is a directory.  Commands call this
+    before any work, so a bad path costs no run and creates no file."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise InvalidInputError(f"{path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise InvalidInputError(f"{path}: is a directory")
+
+
 class LiveTimer:
     """A time model whose pricer multiplies and times a real product.
 
@@ -222,6 +236,7 @@ def cmd_count_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_output(args.out)   # the metadata sidecar goes beside it
     plans = tuple(_parse_plan(tok) for tok in args.plans.split(","))
     spec = BenchmarkSpec(
         degrees=tuple(_parse_int_list(args.degrees)),
@@ -240,6 +255,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_output(args.out)
     bands = _parse_bands(args.bands) if args.bands else None
     records = import_records(args.records)
     if bands is None:
@@ -264,6 +280,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_output(args.output)
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         from dataclasses import replace

@@ -3,7 +3,10 @@
 Calibration turns benchmark records into per-degree-band load thresholds:
 the load at which sequential Karatsuba's mean time first beats parallel
 Toom-Cook's (linear interpolation between sampled loads), and likewise for
-sequential Toom-Cook vs its parallel variant.  Selection is then a pure
+sequential Toom-Cook vs its parallel variant.  A plan's time at a load is
+bench._cell_ns of its records in the band, over every degree there; the
+TimeModel's curves read one cell each through the same function, so a
+cell's time is computed in bench alone.  Selection is then a pure
 table lookup.  At one degree and core count the rule is a threshold with
 one plan below it and one at or above it: parallel Toom-Cook below the
 first threshold and Karatsuba above it, or Karatsuba at every load on a

@@ -492,6 +492,66 @@ class TestSimulate:
             "error: simulate --modulus needs --live\n"
 
 
+class TestOutputPathChecked:
+    """An output path in a missing directory, or naming a directory, exits
+    2 and names the path before any work starts, and creates no file."""
+
+    @staticmethod
+    def bad_path(kind, tmp_path):
+        if kind == "missing_dir":
+            path = tmp_path / "nodir" / "out.json"
+            return str(path), f"{path}: directory {path.parent} does not exist"
+        return str(tmp_path), f"{tmp_path}: is a directory"
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        import pqmul.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, name, lambda *a, **kw: calls.append(a))
+        return calls
+
+    def check(self, argv, message, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["missing_dir", "is_a_dir"])
+    def test_bench_out(self, kind, tmp_path, monkeypatch, capsys):
+        calls = self.spy(monkeypatch, "run_benchmark")
+        path, message = self.bad_path(kind, tmp_path)
+        self.check(["bench", "--degrees", "16", "--loads", "0",
+                    "--loaded-workers", "0", "--runs", "1",
+                    "--plans", "karatsuba", "--out", path],
+                   message, tmp_path, capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["missing_dir", "is_a_dir"])
+    def test_calibrate_out(self, kind, tmp_path, monkeypatch, capsys):
+        records = synthetic_records_file(tmp_path)
+        calls = self.spy(monkeypatch, "import_records")
+        path, message = self.bad_path(kind, tmp_path)
+        self.check(["calibrate", "--records", str(records), "--out", path],
+                   message, tmp_path, capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["missing_dir", "is_a_dir"])
+    @pytest.mark.parametrize("live", [True, False], ids=["live", "records"])
+    def test_simulate_output(self, kind, live, tmp_path, monkeypatch,
+                             capsys):
+        records, rules, spath = TestSimulate().make_files(tmp_path)
+        save_scenario(TestSimulate.LIVE_SCENARIO, spath)
+        calls = self.spy(monkeypatch, "run_simulation")
+        path, message = self.bad_path(kind, tmp_path)
+        source = ["--live"] if live else ["--records", str(records)]
+        self.check(["simulate", "--scenario", str(spath), "--rules",
+                    str(rules), *source, "--output", path],
+                   message, tmp_path, capsys)
+        assert calls == []
+
+
 @pytest.mark.parametrize("modulus", ["1", "0"])
 @pytest.mark.parametrize("argv", [
     "bench --degrees 16 --loads 0 --loaded-workers 0 --runs 1 "

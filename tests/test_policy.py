@@ -13,6 +13,7 @@ from pqmul import (
     MethodPlan,
     SystemState,
     TimeModel,
+    aggregate,
     calibrate,
     load_rules,
     save_rules,
@@ -141,6 +142,36 @@ class TestCalibrate:
         curves[other_par] = {l: 6e6 for l in LOADS}
         with pytest.raises(CalibrationError, match="two distinct parallel"):
             calibrate(records_from_curves(curves), [(512, 512)])
+
+    def test_band_of_two_degrees_pools_every_record(self):
+        """A plan's time at a load is the mean over every record of the
+        band, not the mean of its per-degree cell means."""
+        runs = {  # plan -> load -> {degree: elapsed_ns of each run}
+            TOOM_PAR: {l: {512: (10, 10), 520: (10,)} for l in (0, 10, 20)},
+            TOOM_SEQ: {l: {512: (100,), 520: (100,)} for l in (0, 10, 20)},
+            KARATSUBA: {0: {512: (20,), 520: (20, 20, 20)},
+                        10: {512: (2,), 520: (14, 14, 14)},
+                        20: {512: (2,), 520: (2, 2, 2)}}}
+        records = [
+            BenchmarkRecord(method=plan.method, k=plan.k,
+                            workers=plan.workers,
+                            base_cutoff=plan.base_cutoff, degree=degree,
+                            load_pct=load, run_index=i, elapsed_ns=ns,
+                            mult_count=1000)
+            for plan, by_load in runs.items()
+            for load, by_degree in by_load.items()
+            for degree, times in by_degree.items()
+            for i, ns in enumerate(times)]
+        (entry,) = calibrate(records, [(500, 600)]).entries
+        # Karatsuba minus parallel: 10, 11 - 10 = 1 and -8 ns at loads 0,
+        # 10 and 20, so the crossover is 1/9 of the way from 10 to 20.  The
+        # mean of the cell means at load 10, (2 + 14) / 2 = 8, would put
+        # it at 10 * 10/12, and either degree alone at 10 * 10/18 or
+        # 10 + 10 * 4/12.
+        assert entry.threshold_parallel_vs_karatsuba_pct == 10 + 10 * (1 / 9)
+        assert entry.threshold_parallel_vs_sequential_pct == 100.0
+        random.Random(1).shuffle(records)
+        assert calibrate(records, [(500, 600)]).entries == (entry,)
 
     def test_monotone_response_to_slower_parallel(self):
         """Scaling every parallel time up never raises the thresholds."""
@@ -308,6 +339,29 @@ class TestTimeModel:
             for load, run in times.items() for i, ns in enumerate(run)])
         assert [model.predict(KARATSUBA, 512, load)
                 for load in (0, 10, 20)] == [13 / 3, 37 / 3, 20.0]
+
+    def test_exact_at_samples_is_the_aggregate_mean(self):
+        """At every sampled cell, predict equals aggregate's mean_ns, on
+        uneven cells of one to four runs whose means are not integers."""
+        rng = random.Random(23)
+        records = [
+            BenchmarkRecord(method=plan.method, k=plan.k,
+                            workers=plan.workers,
+                            base_cutoff=plan.base_cutoff, degree=degree,
+                            load_pct=load, run_index=i,
+                            elapsed_ns=rng.randrange(10**6, 10**7),
+                            mult_count=1000)
+            for plan in (KARATSUBA, TOOM_SEQ, TOOM_PAR)
+            for degree in (256, 512) for load in LOADS
+            for i in range(rng.randint(1, 4))]
+        rng.shuffle(records)
+        model, stats = TimeModel.from_records(records), aggregate(records)
+        assert len(stats) == 3 * 2 * len(LOADS)
+        assert len({s.runs for s in stats}) == 4
+        assert any(s.mean_ns != int(s.mean_ns) for s in stats)
+        for s in stats:
+            plan = MethodPlan(s.method, s.k, s.workers, s.base_cutoff)
+            assert model.predict(plan, s.degree, s.load_pct) == s.mean_ns
 
     def test_linear_midpoint(self):
         records = records_from_curves({
