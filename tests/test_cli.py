@@ -17,28 +17,16 @@ from pqmul.cli import LiveTimer, _parse_plan, main
 from pqmul.loadgen import usable_cpu_count
 from pqmul.multipliers import DEFAULT_BASE_CUTOFF
 from pqmul.simulator import MecNode, Scenario, run_simulation
+from synthetic import linear_curves, records_from_curves
 
-KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
-TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
-TOOM_PAR = MethodPlan.toom(3, workers=5, base_cutoff=16)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def synthetic_records_file(tmp_path, name="records.csv"):
     """Records with a parallel-vs-karatsuba crossover near 13."""
-    records = []
-    for plan, base, slope in ((KARATSUBA, 10e6, 0.02e6),
-                              (TOOM_SEQ, 14e6, 0.02e6),
-                              (TOOM_PAR, 5e6, 0.4e6)):
-        for load in (0, 10, 20, 30, 40, 50):
-            for i in range(2):
-                records.append(BenchmarkRecord(
-                    method=plan.method, k=plan.k, workers=plan.workers,
-                    base_cutoff=plan.base_cutoff, degree=512, load_pct=load,
-                    run_index=i, elapsed_ns=int(base + slope * load),
-                    mult_count=1000))
     path = tmp_path / name
-    export_records(records, path)
+    export_records(records_from_curves(linear_curves(
+        (0, 10, 20, 30, 40, 50))), path)
     return path
 
 

@@ -1,7 +1,9 @@
 """Rule-table calibration, method selection, time model, persistence."""
 
+import hashlib
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -20,36 +22,13 @@ from pqmul import (
     select_method,
 )
 from pqmul.policy import HYSTERESIS_PCT, RuleEntry, RuleTable, table_to_dict
-
-KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
-TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
-TOOM_PAR = MethodPlan.toom(3, workers=5, base_cutoff=16)
-
-
-def records_from_curves(curves: dict[MethodPlan, dict[int, float]],
-                        degree: int = 512, runs: int = 2):
-    """Build records whose per-load means are exactly the given curves."""
-    records = []
-    for plan, curve in curves.items():
-        for load, mean_ns in curve.items():
-            for i in range(runs):
-                records.append(BenchmarkRecord(
-                    method=plan.method, k=plan.k, workers=plan.workers,
-                    base_cutoff=plan.base_cutoff, degree=degree,
-                    load_pct=load, run_index=i, elapsed_ns=int(mean_ns),
-                    mult_count=1000))
-    return records
-
-
-def linear_curves(loads, kar_base=10e6, kar_slope=0.02e6,
-                  seq_base=14e6, seq_slope=0.02e6,
-                  par_base=5e6, par_slope=0.4e6):
-    return {
-        KARATSUBA: {l: kar_base + kar_slope * l for l in loads},
-        TOOM_SEQ: {l: seq_base + seq_slope * l for l in loads},
-        TOOM_PAR: {l: par_base + par_slope * l for l in loads},
-    }
-
+from synthetic import (
+    KARATSUBA,
+    TOOM_PAR,
+    TOOM_SEQ,
+    linear_curves,
+    records_from_curves,
+)
 
 LOADS = [0, 10, 20, 30, 40, 50]
 
@@ -511,3 +490,63 @@ class TestPersistence:
         path.write_text("{nope")
         with pytest.raises(RuleTableError, match="JSON"):
             load_rules(path)
+
+
+#: SHA-256 of cell_table_snapshot(), pinned while cells were keyed by the
+#: plan's fields: aggregate's rows, the rule JSON under both band sets and
+#: predict at every sampled (plan, degree, load) and between them.  A new
+#: cell statistic (say, the median) changes it, and must do so on purpose.
+CELL_TABLE_SHA256 = \
+    "ac8358f6a86477eaa5b86fa79c0283e507d603b6787b19ffb28f95fbf1172957"
+
+IDENTITY_BANDS = ([(256, 256), (512, 512), (768, 768)],
+                  [(1, 384), (385, 1024)])
+
+
+def identity_records():
+    """Seeded records at three degrees and eight loads, one to five runs
+    per cell, shuffled.  Sequential Karatsuba on two workers has no
+    calibration role, so calibrate skips it and TimeModel keeps it."""
+    rng = random.Random(24)
+    records = []
+    for degree in (256, 512, 768):
+        base = degree * degree * 40.0
+        for load in range(0, 80, 10):
+            x = load / 100
+            for plan, mean in (
+                    (KARATSUBA, base * (1 + 0.3 * x)),
+                    (TOOM_SEQ, 1.1 * base * (1 + 0.3 * x)),
+                    (TOOM_PAR, 0.4 * base * (1 + 4 * x)),
+                    (MethodPlan.karatsuba(2, base_cutoff=16), base)):
+                records += [
+                    BenchmarkRecord(**plan.as_dict(), degree=degree,
+                                    load_pct=load, run_index=i,
+                                    elapsed_ns=int(mean * rng.uniform(0.97,
+                                                                      1.03)),
+                                    mult_count=1000)
+                    for i in range(rng.randint(1, 5))]
+    rng.shuffle(records)
+    return records
+
+
+def cell_table_snapshot() -> str:
+    records = identity_records()
+    model = TimeModel.from_records(records)
+    stats = aggregate(records)
+    return json.dumps({
+        "aggregate": [asdict(s) for s in stats],
+        "rules": [table_to_dict(calibrate(records, bands))
+                  for bands in IDENTITY_BANDS],
+        "predict": [
+            [plan.as_dict(), s.degree, s.load_pct,
+             model.predict(plan, s.degree, s.load_pct),
+             model.predict(plan, s.degree, s.load_pct + 5)]
+            for s in stats
+            for plan in [MethodPlan(s.method, s.k, s.workers,
+                                    s.base_cutoff)]],
+    }, sort_keys=True)
+
+
+def test_cell_table_digest_pinned():
+    assert hashlib.sha256(cell_table_snapshot().encode()).hexdigest() == \
+        CELL_TABLE_SHA256

@@ -7,9 +7,7 @@ import random
 import pytest
 
 from pqmul import (
-    BenchmarkRecord,
     CoverageError,
-    MethodPlan,
     MecNode,
     Scenario,
     ScenarioError,
@@ -24,10 +22,13 @@ from pqmul import (
 )
 from pqmul.poly import derive_seed
 from pqmul.simulator import report_to_dict, scenario_to_dict
-
-KARATSUBA = MethodPlan.karatsuba(base_cutoff=16)
-TOOM_SEQ = MethodPlan.toom(3, workers=1, base_cutoff=16)
-TOOM_PAR = MethodPlan.toom(3, workers=5, base_cutoff=16)
+from synthetic import (
+    KARATSUBA,
+    TOOM_PAR,
+    TOOM_SEQ,
+    linear_curves,
+    records_from_curves,
+)
 
 LOADS = [0, 20, 40, 60, 80]
 
@@ -44,28 +45,9 @@ TRACE_REPORTS_SHA256 = \
     "97add919a98ecd9c78461df444a9264d6d20e473ecb1b33d7d94f35543d8d31c"
 
 
-def curves(par_base=5e6, par_slope=0.4e6):
-    return {
-        KARATSUBA: {l: 10e6 + 0.02e6 * l for l in LOADS},
-        TOOM_SEQ: {l: 14e6 + 0.02e6 * l for l in LOADS},
-        TOOM_PAR: {l: par_base + par_slope * l for l in LOADS},
-    }
-
-
-def records_from(curves_):
-    records = []
-    for plan, curve in curves_.items():
-        for load, mean_ns in curve.items():
-            records.append(BenchmarkRecord(
-                method=plan.method, k=plan.k, workers=plan.workers,
-                base_cutoff=plan.base_cutoff, degree=512, load_pct=load,
-                run_index=0, elapsed_ns=int(mean_ns), mult_count=1000))
-    return records
-
-
 @pytest.fixture
 def calibrated():
-    records = records_from(curves())
+    records = records_from_curves(linear_curves(LOADS), runs=1)
     return calibrate(records, [(512, 512)]), TimeModel.from_records(records)
 
 
@@ -225,8 +207,8 @@ class TestRun:
 
     def test_coverage_error_carries_context(self, calibrated):
         table, _ = calibrated
-        empty_model = TimeModel.from_records(records_from(
-            {KARATSUBA: {0: 1e6, 20: 1e6, 40: 1e6}}))
+        empty_model = TimeModel.from_records(records_from_curves(
+            {KARATSUBA: {0: 1e6, 20: 1e6, 40: 1e6}}, runs=1))
         scenario = make_scenario(
             mec_nodes=(MecNode(cores=5, load_trace=((0, 0),)),), vehicles=1)
         with pytest.raises(CoverageError, match="vehicle 0"):
@@ -237,8 +219,8 @@ class TestRun:
         # the 5-core node's rule binds parallel Toom-Cook, which the model
         # does not cover, but its load never falls below the threshold
         table, _ = calibrated
-        karatsuba_only = TimeModel.from_records(records_from(
-            {KARATSUBA: {0: 1e6, 20: 1e6, 40: 1e6}}))
+        karatsuba_only = TimeModel.from_records(records_from_curves(
+            {KARATSUBA: {0: 1e6, 20: 1e6, 40: 1e6}}, runs=1))
         scenario = make_scenario(mec_nodes=(
             MecNode(cores=5, load_trace=((0, 90), (40_000, 60))),
             MecNode(cores=1, load_trace=((0, 0),))), vehicles=3)
