@@ -147,8 +147,7 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
                         if run < 0:
                             continue
                         records.append(BenchmarkRecord(
-                            method=plan.method, k=plan.k, workers=plan.workers,
-                            base_cutoff=plan.base_cutoff, degree=degree,
+                            **plan.as_dict(), degree=degree,
                             load_pct=load, run_index=run,
                             elapsed_ns=max(elapsed, 1),
                             mult_count=counter.fundamental_mults))
@@ -158,12 +157,15 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
 
 
 def _cells(records: list[BenchmarkRecord]) -> dict[tuple, list]:
-    """The records of each (method, k, workers, base_cutoff, degree,
-    load_pct) cell, cells in first-appearance order."""
+    """The records of each (plan, degree, load_pct) cell in first-appearance
+    order, each distinct plan built (and so checked) once as a MethodPlan."""
+    plans: dict[tuple, MethodPlan] = {}
     cells: dict[tuple, list[BenchmarkRecord]] = {}
     for r in records:
-        key = (r.method, r.k, r.workers, r.base_cutoff, r.degree, r.load_pct)
-        cells.setdefault(key, []).append(r)
+        fields = (r.method, r.k, r.workers, r.base_cutoff)
+        if fields not in plans:
+            plans[fields] = MethodPlan(*fields)
+        cells.setdefault((plans[fields], r.degree, r.load_pct), []).append(r)
     return cells
 
 
@@ -178,12 +180,12 @@ def aggregate(records: list[BenchmarkRecord]) -> list[CellStats]:
     if not records:
         raise InvalidInputError("no records to aggregate")
     out = []
-    for key, rs in _cells(records).items():
+    for (plan, degree, load), rs in _cells(records).items():
         times = [r.elapsed_ns for r in rs]
         out.append(CellStats(
-            *key, runs=len(rs), mean_ns=statistics.fmean(times),
-            std_ns=statistics.pstdev(times), min_ns=min(times),
-            max_ns=max(times), mult_count=rs[0].mult_count))
+            **plan.as_dict(), degree=degree, load_pct=load, runs=len(rs),
+            mean_ns=statistics.fmean(times), std_ns=statistics.pstdev(times),
+            min_ns=min(times), max_ns=max(times), mult_count=rs[0].mult_count))
     return out
 
 

@@ -189,17 +189,16 @@ def calibrate(records: list[BenchmarkRecord],
     cells = _cells(records)
     entries = []
     for lo, hi in bands:
-        pooled: dict[tuple, dict[int, list]] = {}   # plan -> load -> records
-        for (*plan, degree, load), rs in cells.items():
+        pooled: dict[MethodPlan, dict] = {}   # plan -> load -> records
+        for (plan, degree, load), rs in cells.items():
             if lo <= degree <= hi:
-                by_load = pooled.setdefault(tuple(plan), {})
+                by_load = pooled.setdefault(plan, {})
                 by_load[load] = by_load.get(load, []) + rs
         plans, curves = {}, {}   # role -> its plan, its time per load
-        for key, by_load in pooled.items():
-            role = _ROLES.get((key[0], key[2] > 1))
+        for plan, by_load in pooled.items():
+            role = _ROLES.get((plan.method, plan.workers > 1))
             if role is None:
                 continue
-            plan = MethodPlan(*key)
             if role in plans:
                 raise CalibrationError(
                     f"band [{lo}, {hi}]: two distinct {role} plans in the "
@@ -296,26 +295,22 @@ class TimeModel:
     """Piecewise-linear mean-time curves per (plan, degree), from records."""
 
     def __init__(self, curves: dict[tuple, tuple[tuple, tuple]]):
-        self._curves = curves   # key -> (sorted loads, their mean times)
+        self._curves = curves   # (plan, degree) -> (sorted loads, times)
 
     @classmethod
     def from_records(cls, records: list[BenchmarkRecord]) -> "TimeModel":
         curves: dict[tuple, dict[int, float]] = {}
-        for (*plan_degree, load), rs in _cells(records).items():
-            curves.setdefault(tuple(plan_degree), {})[load] = _cell_ns(rs)
+        for (plan, degree, load), rs in _cells(records).items():
+            curves.setdefault((plan, degree), {})[load] = _cell_ns(rs)
         return cls({key: tuple(zip(*sorted(curve.items())))
                     for key, curve in curves.items()})
-
-    def _curve(self, plan: MethodPlan, degree: int) -> tuple | None:
-        return self._curves.get(
-            (plan.method, plan.k, plan.workers, plan.base_cutoff, degree))
 
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
         """Estimated mean duration (ns); exact at sampled loads.
 
         Loads outside the sampled sweep clamp to the nearest endpoint.
         """
-        curve = self._curve(plan, degree)
+        curve = self._curves.get((plan, degree))
         if curve is None:
             raise CoverageError(
                 f"no calibration data for plan {plan.label} at degree {degree}")
@@ -330,7 +325,7 @@ class TimeModel:
         predict's CoverageError when the function is called, not here, so
         binding a plan that a run never reaches is harmless.
         """
-        curve = self._curve(plan, degree)
+        curve = self._curves.get((plan, degree))
         if curve is None:
             return partial(self.predict, plan, degree)
         loads, times = curve
