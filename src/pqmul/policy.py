@@ -166,6 +166,12 @@ def _first_crossover(loads: list[int], parallel: dict[int, float],
     return 100.0
 
 
+def _name(plan: MethodPlan) -> str:
+    """plan.label with the base cutoff, which the label omits: the name of a
+    plan in an error, so two plans that share a label read apart."""
+    return f"{plan.label} c{plan.base_cutoff}"
+
+
 #: The role of each calibrated plan, by (method, workers > 1).
 _ROLES = {(KARATSUBA, False): "karatsuba", (TOOMCOOK, True): "parallel",
           (TOOMCOOK, False): "sequential"}
@@ -202,7 +208,7 @@ def calibrate(records: list[BenchmarkRecord],
             if role in plans:
                 raise CalibrationError(
                     f"band [{lo}, {hi}]: two distinct {role} plans in the "
-                    f"records ({plans[role].label} and {plan.label})")
+                    f"records ({_name(plans[role])} and {_name(plan)})")
             plans[role] = plan
             curves[role] = {load: _cell_ns(rs) for load, rs in by_load.items()}
 
@@ -312,8 +318,8 @@ class TimeModel:
         """
         curve = self._curves.get((plan, degree))
         if curve is None:
-            raise CoverageError(
-                f"no calibration data for plan {plan.label} at degree {degree}")
+            raise CoverageError(f"no calibration data for plan {_name(plan)} "
+                                f"at degree {degree}")
         return _interpolate(*curve, load_pct)
 
     def pricer(self, plan: MethodPlan, degree: int):

@@ -10,8 +10,11 @@ from pqmul import (
     BenchmarkSpec,
     CapacityError,
     InvalidInputError,
+    InvalidPlanError,
     MethodPlan,
+    TimeModel,
     aggregate,
+    calibrate,
     export_records,
     import_records,
     predicted_mult_count,
@@ -128,6 +131,15 @@ class TestAggregate:
                    for l in (0, 10) for i in range(3)]
         cells = aggregate(records)
         assert [(c.load_pct, c.runs) for c in cells] == [(0, 3), (10, 3)]
+
+    def test_invalid_plan_raises_when_grouped(self):
+        """import_records checks each record's plan; a record built in
+        Python is checked when its cells are grouped."""
+        records = [fake_record(), replace(fake_record(run_index=1), k=3)]
+        for group in (aggregate, TimeModel.from_records,
+                      lambda rs: calibrate(rs, [(512, 512)])):
+            with pytest.raises(InvalidPlanError, match="requires k=2"):
+                group(records)
 
 
 class TestRoundTrips:

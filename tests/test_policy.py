@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -31,6 +32,7 @@ from synthetic import (
 )
 
 LOADS = [0, 10, 20, 30, 40, 50]
+KARATSUBA_C48 = MethodPlan.karatsuba(base_cutoff=48)
 
 
 class TestCalibrate:
@@ -121,6 +123,25 @@ class TestCalibrate:
         curves[other_par] = {l: 6e6 for l in LOADS}
         with pytest.raises(CalibrationError, match="two distinct parallel"):
             calibrate(records_from_curves(curves), [(512, 512)])
+
+    def test_two_karatsuba_cutoffs_in_one_band_named_apart(self):
+        curves = linear_curves(LOADS)
+        curves[KARATSUBA_C48] = curves[KARATSUBA]
+        with pytest.raises(CalibrationError, match=re.escape(
+                "two distinct karatsuba plans in the records "
+                "(karatsuba-w1 c16 and karatsuba-w1 c48)")):
+            calibrate(records_from_curves(curves), [(512, 512)])
+
+    def test_karatsuba_cutoffs_in_different_bands(self):
+        """Plans that share a label calibrate apart, one in each band."""
+        curves = linear_curves(LOADS)
+        records = records_from_curves(curves, degree=256)
+        curves[KARATSUBA_C48] = curves.pop(KARATSUBA)
+        records += records_from_curves(curves, degree=512)
+        table = calibrate(records, [(256, 256), (512, 512)])
+        assert [e.karatsuba_plan for e in table.entries] == \
+            [KARATSUBA, KARATSUBA_C48]
+        assert table.default_plan == KARATSUBA
 
     def test_band_of_two_degrees_pools_every_record(self):
         """A plan's time at a load is the mean over every record of the
@@ -355,6 +376,27 @@ class TestTimeModel:
         model = TimeModel.from_records(records)
         assert model.predict(KARATSUBA, 512, 80) == \
             model.predict(KARATSUBA, 512, 50)
+
+    def test_plans_sharing_a_label_keep_their_curves(self):
+        model = TimeModel.from_records(records_from_curves({
+            KARATSUBA: {0: 10e6, 10: 20e6},
+            KARATSUBA_C48: {0: 4e6, 10: 2e6}}))
+        assert KARATSUBA.label == KARATSUBA_C48.label
+        assert [model.predict(KARATSUBA, 512, l) for l in (0, 5, 10)] == \
+            [10e6, 15e6, 20e6]
+        assert [model.predict(KARATSUBA_C48, 512, l) for l in (0, 5, 10)] \
+            == [4e6, 3e6, 2e6]
+
+    def test_coverage_error_names_the_cutoff(self):
+        model = TimeModel.from_records(
+            records_from_curves({KARATSUBA_C48: {0: 1e6, 10: 2e6}}))
+        message = re.escape(
+            "no calibration data for plan karatsuba-w1 c7 at degree 512")
+        c7 = MethodPlan.karatsuba(base_cutoff=7)
+        with pytest.raises(CoverageError, match=message):
+            model.predict(c7, 512, 0)
+        with pytest.raises(CoverageError, match=message):
+            model.pricer(c7, 512)(0)
 
     def test_coverage_error(self):
         model = TimeModel.from_records(
