@@ -7,9 +7,9 @@ operands per run are derived deterministically from the spec seed and the
 cell indices, so two runs of the same spec produce identical operands and
 identical mult_count columns (only the timings differ).
 
-_cells groups records into (plan, degree, load) cells, and _cell_ns gives
-the time of a cell as calibrate and TimeModel read it; aggregate's table
-reads the same cells.
+_cells groups records into cells keyed by (plan, degree, load_pct), the
+plan a MethodPlan, and _cell_ns gives the time of a cell as calibrate and
+TimeModel read it; aggregate's table reads the same cells.
 
 Records files are CSV, or JSON (through jsonfile, each field read by
 _need).  Every record read from either is range-checked by _check_records,

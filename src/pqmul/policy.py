@@ -6,14 +6,15 @@ Toom-Cook's (linear interpolation between sampled loads), and likewise for
 sequential Toom-Cook vs its parallel variant.  A plan's time at a load is
 bench._cell_ns of its records in the band, over every degree there; the
 TimeModel's curves read one cell each through the same function, so a
-cell's time is computed in bench alone.  Selection is then a pure
-table lookup.  At one degree and core count the rule is a threshold with
-one plan below it and one at or above it: parallel Toom-Cook below the
-first threshold and Karatsuba above it, or Karatsuba at every load on a
-single core, on too few cores or at a degree no band covers.  Hysteresis
-then widens the threshold in favor of the previous plan.  Sequential
-Toom-Cook is calibrated and reported but never selected - at one worker it
-is dominated by Karatsuba.
+cell's time is computed in bench alone.  Like bench's cells, the pooled
+curves are keyed by MethodPlan and the TimeModel's by (MethodPlan,
+degree).  Selection is then a pure table lookup.  At one degree and core
+count the rule is a threshold with one plan below it and one at or above
+it: parallel Toom-Cook below the first threshold and Karatsuba above it,
+or Karatsuba at every load on a single core, on too few cores or at a
+degree no band covers.  Hysteresis then widens the threshold in favor of
+the previous plan.  Sequential Toom-Cook is calibrated and reported but
+never selected - at one worker it is dominated by Karatsuba.
 
 The rule file is JSON (schema in table_to_dict), read and written through
 jsonfile, and survives save -> load -> save byte-identically.
@@ -167,8 +168,7 @@ def _first_crossover(loads: list[int], parallel: dict[int, float],
 
 
 def _name(plan: MethodPlan) -> str:
-    """plan.label with the base cutoff, which the label omits: the name of a
-    plan in an error, so two plans that share a label read apart."""
+    """A plan as errors name it: plan.label plus the cutoff it omits."""
     return f"{plan.label} c{plan.base_cutoff}"
 
 
