@@ -159,14 +159,13 @@ def run_benchmark(spec: BenchmarkSpec) -> list[BenchmarkRecord]:
 def _cells(records: list[BenchmarkRecord]) -> dict[tuple, list]:
     """The records of each (plan, degree, load_pct) cell in first-appearance
     order, each distinct plan built (and so checked) once as a MethodPlan."""
-    plans: dict[tuple, MethodPlan] = {}
     cells: dict[tuple, list[BenchmarkRecord]] = {}
-    for r in records:
-        fields = (r.method, r.k, r.workers, r.base_cutoff)
-        if fields not in plans:
-            plans[fields] = MethodPlan(*fields)
-        cells.setdefault((plans[fields], r.degree, r.load_pct), []).append(r)
-    return cells
+    for r in records:   # a field tuple hashes in C, a MethodPlan in Python
+        key = (r.method, r.k, r.workers, r.base_cutoff, r.degree, r.load_pct)
+        cells.setdefault(key, []).append(r)
+    plans = {fields: MethodPlan(*fields)
+             for fields in dict.fromkeys(key[:4] for key in cells)}
+    return {(plans[key[:4]], *key[4:]): rs for key, rs in cells.items()}
 
 
 def _cell_ns(records: list[BenchmarkRecord]) -> float:
