@@ -170,8 +170,9 @@ def _cells(records: list[BenchmarkRecord]) -> dict[tuple, list]:
 
 def _cell_ns(records: list[BenchmarkRecord]) -> float:
     """The time of a cell (or of cells pooled), as calibrate and TimeModel
-    read it: the integer sum of elapsed_ns over the number of records."""
-    return sum(r.elapsed_ns for r in records) / len(records)
+    read it: the median of elapsed_ns, which a run that lost its core for
+    one busy phase of the load generator does not move."""
+    return float(statistics.median(r.elapsed_ns for r in records))
 
 
 def aggregate(records: list[BenchmarkRecord]) -> list[CellStats]:

@@ -19,92 +19,56 @@ evaluating, interpolating, recomposing).  So DEFAULT_BASE_CUTOFF is a
 measured constant, as GMP's Toom thresholds are; README gives the
 measurement.
 
-Interpolation is done entirely over the integers: every division in the
-back-substitution below is exact for any integer inputs, so modular operands
-are lifted to plain integers on entry and reduced mod q once at the end.
-An inexact division can only mean a bug and raises InternalArithmeticError.
-The operand bound comes from the ring: with a modulus q every coefficient
-lies in [0, q), so the engine takes q - 1 as both operands' largest
-magnitude without reading them (NTRU's ternary operands stored mod q reach
-q - 1 anyway); without one it takes max|c| of each operand.
+Interpolation is done entirely over the integers, so modular operands are
+lifted to plain integers on entry and reduced mod q once at the end.  The
+operand bound comes from the ring: with a modulus q every coefficient lies
+in [0, q), so the engine takes q - 1 as both operands' largest magnitude
+without reading them (NTRU's ternary operands stored mod q reach q - 1
+anyway); without one it takes max|c| of each operand.
 
 Packed vectors.  The engine carries a vector of n signed coefficients as one
 Python int P = sum(c_i * 2^(s*i)) with slot width s (Kronecker substitution,
-Harvey, JSC 2009): P is the polynomial evaluated at x = 2^s.  Sums,
-differences, small multiples and products of packed vectors are the packed
-sums, differences, multiples and polynomial products, exactly and whatever
-the slot values: evaluation at 2^s is a ring homomorphism from Z[x] to Z.
-So evaluation, interpolation, recomposition (shifts and adds) and the leaf
-product (x * y) are each a few C-level big-int operations, and a slot that
-overflows in between never reaches the result.  Each operand is packed
-once per product, or once per batch when it is shared (see below), and
-the result is unpacked once.  Reading slots back needs them to fit.  When
-every c_i lies in [-2^(s-1), 2^(s-1)), the c_i are the unique signed
-base-2^s digits of P.  Adding 2^(s-1) to every slot then makes them
-non-negative digits that a shift and a mask read off.  Slots are read in
-exactly three places, and only there must they fit:
+Harvey, JSC 2009): P is the polynomial evaluated at x = 2^s.  Evaluation at
+2^s is a ring homomorphism from Z[x] to Z, so the packed product is the
+packed polynomial product, and one C-level big-int product multiplies two
+whole vectors.  Each operand is packed once per product, or once per batch
+when it is shared (see below), and the result is unpacked once.  When every
+c_i lies in [-2^(s-1), 2^(s-1)), the c_i are the unique signed base-2^s
+digits of P.  Adding 2^(s-1) to every slot then makes them non-negative
+digits that a shift and a mask read off.  Packing goes through array('q'):
+strided slice copies move each item's low min(s/8, 8) bytes into its slot,
+and one XOR and one subtract turn the two's-complement slots into signed
+digits.  Unpacking reverses this into items of 1, 2, 4 or 8 bytes, the
+smallest that hold a slot's low min(s/8, 8) bytes, and sign-extends a
+slot's top byte by translating it.  When q = 2^e with e <= 64, the product
+is reduced before it is unpacked: c mod 2^e is the low e bits of c's
+two's-complement slot, so one mask reduces every slot, only the low
+ceil(e/8) bytes of each are read, into unsigned items, and the result
+polynomial trusts them without a per-coefficient % q.  Any other q, and no
+modulus, unpack the signed slots and reduce them one by one.
 
-    cuts     a node's operands are split into parts (padding slots read
-             as 0); every method
-    guards   the quotient of each exact division; Toom-Cook only
-    unpack   the joined product, once; every method
+Integer nodes.  Between the pack and the unpack the engine reads no slot:
+like GMP's integer Toom (Bodrato & Zanoni, ISSAC 2007), every node splits
+an integer.  A node of part length m cuts its operand x at stride m*s bits:
+part j < k-1 is (x >> j*m*s) & (2^(m*s) - 1), and the last part is
+x >> (k-1)*m*s with every higher bit kept, because evaluations outgrow
+k*m*s bits.  Then
 
-A padded node's product needs no trim: every slot past its 2n-1
-coefficients is a sum of products with a zero padding slot.  Packing goes
-through array('q'): strided slice copies move each item's low min(s/8, 8)
-bytes into its slot, and one XOR and one subtract turn the two's-complement
-slots into signed digits.  Unpacking reverses this into items of 1, 2, 4 or
-8 bytes, the smallest that hold a slot's low min(s/8, 8) bytes, and
-sign-extends a slot's top byte by translating it.  When q = 2^e with
-e <= 64, the product is reduced before it is unpacked: c mod 2^e is the low
-e bits of c's two's-complement slot, so one mask reduces every slot, only
-the low ceil(e/8) bytes of each are read, into unsigned items, and the
-result polynomial trusts them without a per-coefficient % q.  Any other q,
-and no modulus, unpack the signed slots and reduce them one by one.
+  - each node computes x*y = R(2^(m*s)) exactly, with R = P*Q over Z[Y]
+    for the integer polynomials P and Q of the parts of x and y: its
+    subproducts are P(t)*Q(t) = R(t) at the points t (exactly, by
+    induction; a leaf is one big-int product), so every division of the
+    interpolation divides an exact integer evaluation, the interpolation
+    returns R's integer coefficients, and recomposition evaluates R at
+    2^(m*s);
+  - the only slots ever read are the final product's, and its
+    coefficients are at most amax*bmax*ls < 2^(s-1) for the largest
+    magnitudes amax and bmax and the shorter length ls.
 
-Slot width.  One evaluation level multiplies the largest magnitude by at
-most g = 2, 7, 40 for k = 2, 3, 4 (the values at 1, 2, 3 of a polynomial
-with all-one coefficients).  After L levels the leaf operands are bounded
-by max|a| g^L and max|b| g^L, so leaf product coefficients are bounded by
-
-    V = max|a| g^L * max|b| g^L * leaf_len.
-
-A level-l product has coefficients of at most max|a| max|b| g^(2l) n_l, and
-n_l <= k n_(l+1) <= g^2 n_(l+1), so the leaf level bounds every level above
-it: every operand, subproduct and recomposed coefficient is at most V.
-Interpolating inputs bounded by V, even inputs that are not products, keeps
-every dividend and quotient within these bounds, which are exact: each is a
-linear form in the 2k-1 inputs and reaches V times the sum of its
-|coefficients| (for k = 4 the largest dividend is
-v3 - v0 - 9 c2 - 81 c4 - 729 vinf):
-
-    k   dividends   quotients    divisors   headroom   guard h
-    3   8/3 V       4/3 V        d <= 3      4 bits    s - 3
-    4   392 V       392/3 V      d <= 8     12 bits    s - 4
-
-For Toom-Cook s is the bit length of V plus k's headroom, rounded up to
-whole bytes, and derived per product from the operands (never from a
-setting).  So every dividend fits its slot (4 V, 2^9 V <= 2^(s-1)) and every
-correct quotient lies in [-2^h, 2^h) (2 V <= 2^(s-3), 2^8 V <= 2^(s-4)).
-The headroom is the least that gives both, and the quotient bound sets it.
-Karatsuba divides nowhere, so no guard reads its interpolation slots
-(< 4 V): only the cuts, whose operands are at most max(|a|, |b|) 2^L, and
-the unpack, whose coefficients are at most |a| |b| ls for the shorter
-length ls, read slots.  Its s is the bit length of the larger of those two
-bounds plus a sign bit, in whole bytes; the homomorphism carries every
-other value to the result exactly.
-
-Division guard.  A zero remainder of divmod(X, d) does not mean that d
-divides every slot: slots (1, -1) with s = 16 give X = 1 - 2^16, which 3
-divides.  So the quotient Q must also have every slot in [-2^h, 2^h) (one
-add and one mask against cached constants).  That holds exactly when d
-divides every slot x_i.  If it does, the slots of Q are the x_i / d, which
-the width bound keeps in range.  Conversely, let the slots q_i of Q lie in
-[-2^h, 2^h).  Since 3 * 2^(s-3) and 8 * 2^(s-4) are at most 2^(s-1), every
-d q_i lies in [-2^(s-1), 2^(s-1)), so the d q_i are signed digits of
-d Q = X.  By uniqueness of signed digits they are the x_i.  Division by
-d = 2, 4, 8 is a shift by t = 1, 2, 3 with the low t bits of X as the
-remainder, which is what divmod gives; its quotient passes the same guard.
+So s is the bit length of amax*bmax*ls plus a sign bit, in whole bytes,
+for every method (with amax and bmax at least 1, so that the operands'
+own slots fit as well).  An interpolation division that leaves an integer
+remainder can only mean a bug and raises InternalArithmeticError.
 
 Evaluation trees.  _engine_mul cuts each operand into blocks the length
 ls of the shorter one, packs them and evaluates each block's tree level by
@@ -130,9 +94,8 @@ Operands of unequal length are multiplied block-wise, like GMP's unbalanced
 Toom (Bodrato & Zanoni, ISSAC 2007): the longer one, of length L, is cut
 into ceil(L/ls) blocks the length ls of the shorter one (only the last block
 is zero-padded), each block goes through the engine against the shorter
-operand, and the block products are summed at offsets j*ls (their sum's
-coefficients, at most max|a| max|b| ls, are within V too).  So for unequal
-lengths
+operand, and the block products are summed at offsets j*ls (their sum is
+the product whose slots the width bounds).  So for unequal lengths
 
     fundamental_mults == ceil(L/ls) * predicted_mult_count(plan, ls)
 
@@ -232,10 +195,10 @@ class MethodPlan:
 # packed vectors: n signed coefficients c_i as one int sum(c_i * 2^(s*i))
 # ---------------------------------------------------------------------------
 
-def _slot_bits(bound: int, headroom: int) -> int:
+def _slot_bits(bound: int) -> int:
     """The slot width for vectors bounded by bound in magnitude: its bit
-    length plus headroom, in whole bytes."""
-    return (bound.bit_length() + headroom + 7) & -8
+    length plus a sign bit, in whole bytes."""
+    return (bound.bit_length() + 8) & -8
 
 
 @lru_cache(maxsize=1024)
@@ -348,23 +311,24 @@ def _unpack(x: int, n: int, s: int, e: int = 0) -> list[int]:
     return items.tolist()
 
 
-def _cutter(count: int, m: int, s: int) -> tuple:
-    """(shifts, offset, mask, part_offset) with which _cut cuts a vector of
-    at most count*m slots into count parts of m slots."""
-    return (tuple(range(0, count * m * s, m * s)),
-            _ones(count * m, s) << (s - 1), (1 << m * s) - 1,
-            _ones(m, s) << (s - 1))
+def _cutter(count: int, stride: int) -> tuple:
+    """(shifts, top, mask) with which _cut cuts an int into count parts at
+    stride bits."""
+    return (tuple(range(0, (count - 1) * stride, stride)),
+            (count - 1) * stride, (1 << stride) - 1)
 
 
 def _cut(x: int, cutter: tuple) -> list[int]:
-    """The parts of x; slots beyond its length come out as 0."""
-    shifts, offset, mask, part_offset = cutter
-    x += offset
-    return [((x >> t) & mask) - part_offset for t in shifts]
+    """The parts p_j of x with x = sum(p_j << j*stride): the low stride-bit
+    digits of x, then every bit above them as the last part."""
+    shifts, top, mask = cutter
+    parts = [(x >> t) & mask for t in shifts]
+    parts.append(x >> top)
+    return parts
 
 
 def _shift_sum(parts: list[int], stride: int) -> int:
-    """sum(part_i << (stride*i)): packed vectors placed stride bits apart.
+    """sum(part_i << (stride*i)): ints placed stride bits apart.
 
     Horner's rule: the fewest big-int operations for the 2k-1 slices of a
     node, but quadratic in the number of parts."""
@@ -385,29 +349,22 @@ def _join_blocks(parts: list[int], stride: int) -> int:
     return parts[0]
 
 
-def _exact_div(x: int, d: int, guard: tuple[int, int]) -> int:
-    """x/d for a packed x every slot of which d divides, else raise.
-
-    guard is _range_check(slots, s, h) with h = s - _Steps.guard of the
-    method; the module docstring shows why a zero remainder plus quotient
-    slots in [-2^h, 2^h) hold exactly when d divides every slot.  For one
-    plain int, guard (0, 0) leaves the zero remainder as the whole test.
-    """
+def _exact_div(x: int, d: int) -> int:
+    """x/d, or raise if d does not divide x."""
     q, r = divmod(x, d)
-    if r or (q + guard[0]) & guard[1]:
+    if r:
         raise InternalArithmeticError(
             f"interpolation division by {d} left a remainder")
     return q
 
 
-def _exact_shift(x: int, t: int, guard: tuple[int, int]) -> int:
-    """_exact_div(x, 2^t, guard) as a shift plus a test of the low t bits,
-    which is the remainder divmod would give."""
-    q = x >> t
-    if x & ((1 << t) - 1) or (q + guard[0]) & guard[1]:
+def _exact_shift(x: int, t: int) -> int:
+    """_exact_div(x, 2^t) as a shift plus a test of the low t bits, which
+    are the remainder divmod would give."""
+    if x & ((1 << t) - 1):
         raise InternalArithmeticError(
             f"interpolation division by {1 << t} left a remainder")
-    return q
+    return x >> t
 
 
 def _evaluate2(p0, p1):
@@ -428,34 +385,34 @@ def _evaluate4(p0, p1, p2, p3):
             ((p3 * 3 + p2) * 3 + p1) * 3 + p0, p3)          # p(3)
 
 
-def _interpolate2(products, guard):
+def _interpolate2(products):
     v0, v1, vinf = products
     return v0, v1 - v0 - vinf, vinf
 
 
-def _interpolate3(products, guard):
+def _interpolate3(products):
     # points (0, 1, -1, 2, inf); every division below is exact over Z
     v0, v1, vm1, v2, vinf = products
-    g = _exact_div(v2 - vm1, 3, guard)                      # c1+c2+3c3+5c4
-    h = _exact_shift(v1 - vm1, 1, guard)                    # c1+c3
+    g = _exact_div(v2 - vm1, 3)                             # c1+c2+3c3+5c4
+    h = _exact_shift(v1 - vm1, 1)                           # c1+c3
     m = vm1 - v0                                            # -c1+c2-c3+c4
-    w3 = _exact_shift(g - m, 1, guard) - h - 2 * vinf       # c3
+    w3 = _exact_shift(g - m, 1) - h - 2 * vinf              # c3
     return v0, h - w3, m + h - vinf, w3, vinf
 
 
-def _interpolate4(products, guard):
+def _interpolate4(products):
     # points (0, 1, -1, 2, -2, 3, inf)
     v0, v1, vm1, v2, vm2, v3, vinf = products
-    t0 = _exact_shift(v1 + vm1, 1, guard) - v0 - vinf       # c2+c4
-    t1 = _exact_shift(v2 + vm2 - 2 * v0 - 128 * vinf, 3, guard)   # c2+4c4
-    w4 = _exact_div(t1 - t0, 3, guard)                      # c4
+    t0 = _exact_shift(v1 + vm1, 1) - v0 - vinf              # c2+c4
+    t1 = _exact_shift(v2 + vm2 - 2 * v0 - 128 * vinf, 3)    # c2+4c4
+    w4 = _exact_div(t1 - t0, 3)                             # c4
     w2 = t0 - w4                                            # c2
-    s0 = _exact_shift(v1 - vm1, 1, guard)                   # c1+c3+c5
-    s1 = _exact_shift(v2 - vm2, 2, guard)
-    s1 = _exact_div(s1 - s0, 3, guard)                      # c3+5c5
-    s2 = _exact_div(v3 - v0 - 9 * w2 - 81 * w4 - 729 * vinf, 3, guard)
-    s2 = _exact_shift(s2 - s0, 3, guard) - s1               # 5c5
-    w5 = _exact_div(s2, 5, guard)                           # c5
+    s0 = _exact_shift(v1 - vm1, 1)                          # c1+c3+c5
+    s1 = _exact_shift(v2 - vm2, 2)
+    s1 = _exact_div(s1 - s0, 3)                             # c3+5c5
+    s2 = _exact_div(v3 - v0 - 9 * w2 - 81 * w4 - 729 * vinf, 3)
+    s2 = _exact_shift(s2 - s0, 3) - s1                      # 5c5
+    w5 = _exact_div(s2, 5)                                  # c5
     w3 = s1 - s2                                            # c3
     return v0, s0 - w3 - w5, w2, w3, w4, w5, vinf
 
@@ -464,20 +421,15 @@ class _Steps(NamedTuple):
     """The evaluation and interpolation of one splitting factor k."""
 
     evaluate: Callable       # k parts -> 2k-1 evaluations
-    interpolate: Callable    # 2k-1 products, guard -> 2k-1 slices
-    growth: int              # bound on max|evaluation| / max|part|
+    interpolate: Callable    # 2k-1 products -> 2k-1 slices
     evaluate_adds: int       # counted adds per part coefficient
     interpolate_adds: int    # counted adds per product coefficient
-    headroom: int            # slot bits above the bound of the read values
-    guard: int               # quotient slots lie in [-2^(s-guard), ...)
 
 
-#: k = 2's headroom is the sign bit over the cuts and the unpack, the only
-#: Karatsuba slots read (see _engine_bits); it divides nowhere.
 _STEPS = {
-    2: _Steps(_evaluate2, _interpolate2, 2, 1, 2, 1, 1),    # p(1) = p0+p1
-    3: _Steps(_evaluate3, _interpolate3, 7, 5, 9, 4, 3),    # p(2) = p0+..+4p2
-    4: _Steps(_evaluate4, _interpolate4, 40, 11, 20, 12, 4),    # p(3)
+    2: _Steps(_evaluate2, _interpolate2, 1, 2),
+    3: _Steps(_evaluate3, _interpolate3, 5, 9),
+    4: _Steps(_evaluate4, _interpolate4, 11, 20),
 }
 
 
@@ -527,15 +479,14 @@ def interpolate(pointwise_products: list[list[int]],
     Solves the evaluation system of k's points (the module docstring's
     table) exactly over the integers; the product is the sum of slice i
     times x^(i*part_len).  A nonzero remainder in any division is an
-    implementation defect and raises.  Each coefficient is one int, so the
-    zero remainder of each division is the whole check (guard (0, 0)).
+    implementation defect and raises.
     """
     if len(pointwise_products) != 2 * k - 1:
         raise InvalidInputError(
             f"expected {2 * k - 1} pointwise products, got "
             f"{len(pointwise_products)}")
     solve = _steps(k).interpolate
-    return _rows([solve(c, (0, 0))
+    return _rows([solve(c)
                   for c in zip_longest(*pointwise_products, fillvalue=0)], k)
 
 
@@ -553,12 +504,11 @@ class _Level(NamedTuple):
     """The constants of one recursion level: nodes of length n > cutoff,
     cut into k parts of m = ceil(n/k) slots."""
 
-    cut: tuple               # _cutter(k, m, s)
-    evaluate: Callable       # k packed parts -> 2k-1 evaluations
-    interpolate: Callable    # 2k-1 packed products, guard -> 2k-1 slices
+    cut: tuple               # _cutter(k, stride)
+    evaluate: Callable       # k parts -> 2k-1 evaluations
+    interpolate: Callable    # 2k-1 products -> 2k-1 slices
     width: int               # 2k-1 subproducts per node
-    guard: tuple[int, int]   # _range_check(2m-1, s, s - _Steps.guard)
-    stride: int              # s*m bits between consecutive slices
+    stride: int              # s*m bits between consecutive parts
 
 
 @lru_cache(maxsize=1024)
@@ -569,9 +519,8 @@ def _levels(n: int, k: int, cutoff: int, s: int) -> tuple[_Level, ...]:
         return ()
     m = -(-n // k)
     steps = _STEPS[k]
-    return (_Level(_cutter(k, m, s), steps.evaluate, steps.interpolate,
-                   2 * k - 1, _range_check(2 * m - 1, s, s - steps.guard),
-                   s * m),) + _levels(m, k, cutoff, s)
+    return (_Level(_cutter(k, s * m), steps.evaluate, steps.interpolate,
+                   2 * k - 1, s * m),) + _levels(m, k, cutoff, s)
 
 
 def _depth_leaf(n: int, k: int, cutoff: int) -> tuple[int, int]:
@@ -581,25 +530,6 @@ def _depth_leaf(n: int, k: int, cutoff: int) -> tuple[int, int]:
     while n > cutoff:
         n, depth = -(-n // k), depth + 1
     return depth, n
-
-
-def _engine_bits(amax: int, bmax: int, n: int, k: int, cutoff: int) -> int:
-    """The slot width of an engine product of two length-n vectors with
-    largest magnitudes amax and bmax, from the values whose slots are read.
-
-    Karatsuba divides nowhere, so only the cuts (operands of at most
-    max(amax, bmax) * 2^L) and the final unpack (at most amax * bmax * n)
-    read slots: their larger bound plus a sign bit.  Toom-Cook's guards read
-    interpolation values: _slot_bits of the leaf bound
-    max(amax,1) * g^L * max(bmax,1) * g^L * leaf_len with k's headroom."""
-    steps = _STEPS[k]
-    depth, leaf = _depth_leaf(n, k, cutoff)
-    if k == 2:
-        bound = max(max(amax, bmax) << depth, amax * bmax * n)
-    else:
-        bound = (max(amax, 1) * max(bmax, 1)
-                 * steps.growth ** (2 * depth) * leaf)
-    return _slot_bits(bound, steps.headroom)
 
 
 @lru_cache(maxsize=1024)
@@ -621,23 +551,20 @@ def _tree_counts(n: int, k: int, cutoff: int) -> tuple[int, int]:
 
 def _interpolate_levels(products: list[int], levels) -> list[int]:
     """Up the given levels, bottom first: each group of 2k-1 consecutive
-    packed subproducts interpolated and recomposed into one product.
-    Padded slots of the operands are 0, so every slot of a node's product
-    from 2n-1 on is 0 and needs no trim."""
+    subproducts interpolated and recomposed into one product."""
     for level in reversed(levels):
-        interpolate, guard, stride = \
-            level.interpolate, level.guard, level.stride
-        products = [_shift_sum(interpolate(products[i:i + level.width],
-                                           guard), stride)
-                    for i in range(0, len(products), level.width)]
+        interpolate, stride, width = \
+            level.interpolate, level.stride, level.width
+        products = [_shift_sum(interpolate(products[i:i + width]), stride)
+                    for i in range(0, len(products), width)]
     return products
 
 
 def _leaves(vectors, levels) -> list[int]:
-    """The leaf operands of the evaluation trees of the packed vectors: at
-    each of the given levels, top down, every vector is cut into k parts and
+    """The leaf operands of the evaluation trees of the given ints: at each
+    of the given levels, top down, every int is cut into k parts and
     evaluated at the 2k-1 points, so the 2k-1 children of each node, and the
-    leaves of each vector, are next to each other."""
+    leaves of each int, are next to each other."""
     for level in levels:
         evaluate, cut = level.evaluate, level.cut
         vectors = [e for v in vectors for e in evaluate(*_cut(v, cut))]
@@ -647,7 +574,8 @@ def _leaves(vectors, levels) -> list[int]:
 #: Operands _operand_leaves keeps: a batch's shared operand stays while
 #: fewer than this many others are looked up between two of its products
 #: (each product looks up at most one other).  One N = 1024 operand at
-#: q = 2^13 takes at most 86 kB, whole or in blocks: the memo stays < 1 MB.
+#: q = 2^13 and cutoff 16 or more takes at most 85 kB (Karatsuba at cutoff
+#: 16), whole or in blocks: the memo stays < 1 MB.
 _MEMO_ENTRIES = 8
 
 
@@ -664,8 +592,9 @@ def _operand_leaves(coeffs: tuple[int, ...], ls: int, k: int, cutoff: int,
 
 def _run_pairs(pairs: list[tuple[int, int]], k: int, cutoff: int, n: int,
                s: int) -> list[int]:
-    """A pool worker's runner: the products of packed length-n vector pairs
-    in s-bit slots, evaluated, multiplied leaf by leaf and interpolated."""
+    """A pool worker's runner: the products of int pairs cut for length-n
+    nodes in s-bit slots, evaluated, multiplied leaf by leaf and
+    interpolated."""
     levels = _levels(n, k, cutoff, s)
     xs, ys = zip(*pairs)
     return _interpolate_levels(
@@ -692,7 +621,7 @@ def _engine_mul(a: Polynomial, b: Polynomial, plan: MethodPlan,
         amax, bmax = max(map(abs, long)), max(map(abs, short))
     else:
         amax = bmax = q - 1             # reduced coefficients lie in [0, q)
-    s = _engine_bits(amax, bmax, ls, k, cutoff)
+    s = _slot_bits(max(amax, 1) * max(bmax, 1) * ls)   # the product's bound
     levels = _levels(ls, k, cutoff, s)
     if plan.workers == 1:
         xs = _operand_leaves(long, ls, k, cutoff, s)

@@ -1,7 +1,7 @@
 """Load-aware method selection: calibrated rule table + time model.
 
 Calibration turns benchmark records into per-degree-band load thresholds:
-the load at which sequential Karatsuba's mean time first beats parallel
+the load at which sequential Karatsuba's time first beats parallel
 Toom-Cook's (linear interpolation between sampled loads), and likewise for
 sequential Toom-Cook vs its parallel variant.  A plan's time at a load is
 bench._cell_ns of its records in the band, over every degree there; the
@@ -11,8 +11,9 @@ curves are keyed by MethodPlan and the TimeModel's by (MethodPlan,
 degree).  Selection is then a pure table lookup.  At one degree and core
 count the rule is a threshold with one plan below it and one at or above
 it: parallel Toom-Cook below the first threshold and Karatsuba above it,
-or Karatsuba at every load on a single core, on too few cores or at a
-degree no band covers.  Hysteresis then widens the threshold in favor of
+or Karatsuba at every load on a single core or on too few cores (the
+band's Karatsuba plan) and at a degree no band covers (the table's
+default plan).  Hysteresis then widens the threshold in favor of
 the previous plan.  Sequential Toom-Cook is calibrated and reported but
 never selected - at one worker it is dominated by Karatsuba.
 
@@ -151,7 +152,7 @@ class RuleTable:
 
 def _first_crossover(loads: list[int], parallel: dict[int, float],
                      rival: dict[int, float]) -> float:
-    """First load at which the rival's mean time beats the parallel plan's.
+    """First load at which the rival's time beats the parallel plan's.
 
     Linear interpolation between the adjacent sampled loads; 100 if the
     parallel plan wins everywhere in the sweep, 0 if it never wins.
@@ -258,9 +259,9 @@ def _rule(table: RuleTable, degree: int,
     threshold and above at loads at or above it.
     """
     entry = table.entry_for(degree)
-    if cores == 1 or entry is None:
+    if entry is None:
         return 0.0, table.default_plan, table.default_plan
-    if cores < entry.min_cores:
+    if cores == 1 or cores < entry.min_cores:
         return 0.0, entry.karatsuba_plan, entry.karatsuba_plan
     return (entry.threshold_parallel_vs_karatsuba_pct,
             entry.parallel_plan, entry.karatsuba_plan)
@@ -298,7 +299,7 @@ def _interpolate(loads: tuple, times: tuple, load_pct: float) -> float:
 
 
 class TimeModel:
-    """Piecewise-linear mean-time curves per (plan, degree), from records."""
+    """Piecewise-linear time curves per (plan, degree), from records."""
 
     def __init__(self, curves: dict[tuple, tuple[tuple, tuple]]):
         self._curves = curves   # (plan, degree) -> (sorted loads, times)
@@ -312,7 +313,7 @@ class TimeModel:
                     for key, curve in curves.items()})
 
     def predict(self, plan: MethodPlan, degree: int, load_pct: float) -> float:
-        """Estimated mean duration (ns); exact at sampled loads.
+        """Estimated duration (ns); the cell's time at sampled loads.
 
         Loads outside the sampled sweep clamp to the nearest endpoint.
         """

@@ -8,10 +8,9 @@ for operation counts.
 import hashlib
 import itertools
 import math
-import operator
 import random
 from dataclasses import replace
-from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,12 +35,10 @@ from pqmul.multipliers import (
     DEFAULT_BASE_CUTOFF,
     _MEMO_ENTRIES,
     _STEPS,
-    _engine_bits,
     _exact_div,
     _exact_shift,
     _operand_leaves,
     _pack_blocks,
-    _range_check,
     _unpack,
 )
 from pqmul.poly import _schoolbook_coeffs
@@ -442,12 +439,12 @@ def signed_vector(draw, max_size):
     return v
 
 
-def divide(x, d, guard):
+def divide(x, d):
     """x/d as the interpolation divides: a shift for d = 2, 4, 8, divmod
     for d = 3, 5."""
     if d & (d - 1) == 0:
-        return _exact_shift(x, d.bit_length() - 1, guard)
-    return _exact_div(x, d, guard)
+        return _exact_shift(x, d.bit_length() - 1)
+    return _exact_div(x, d)
 
 
 def slot_bits_for(bound):
@@ -497,16 +494,17 @@ class TestPackedVectors:
         ([4, 0, 1, 4], 2),  # one bad slot between good ones
     ])
     def test_exact_division_guard(self, slots, d):
-        s = 64
-        x = pack(slots, s)
+        """The remainder of the whole integer is the check: a multiple of d
+        divides whatever its slots hold, and one more raises."""
+        x = pack(slots, 64)
         assert x % d == 0
+        assert divide(x, d) == x // d
         with pytest.raises(InternalArithmeticError):
-            divide(x, d, _range_check(len(slots), s, s - 5))
+            divide(x + 1, d)
 
     def test_exact_division_of_every_slot(self):
         s = 64
-        guard = _range_check(3, s, s - 5)
-        q = _exact_div(pack([9, -24, 3], s), 3, guard)
+        q = _exact_div(pack([9, -24, 3], s), 3)
         assert _unpack(q, 3, s) == [3, -8, 1]
 
     def test_widest_reduced_operands(self):
@@ -522,7 +520,8 @@ class TestPackedVectors:
     @pytest.mark.parametrize("plan", PLANS)
     def test_extreme_sign_patterns(self, plan):
         """Same-sign and alternating-sign operands drive the evaluations
-        and interpolation intermediates furthest towards the slot bound."""
+        and interpolation intermediates furthest, and the product's
+        coefficients to their bound."""
         for n in (27, 33):
             for v in ([2 ** 30] * n, [(-1) ** i << 30 for i in range(n)]):
                 a = Polynomial(v)
@@ -561,9 +560,8 @@ def narrow_factors(draw):
     return s, a, b
 
 
-#: The guard exponent per splitting factor: quotient slots lie in
-#: [-2^(s-g), 2^(s-g)), g = 3 for k = 3 (divisors <= 3), 4 for k = 4 (<= 8).
-GUARD = {3: 3, 4: 4}
+#: The divisors of each splitting factor's interpolation.
+DIVISORS = {3: (2, 3), 4: (2, 3, 4, 5, 8)}
 
 
 class TestNarrowSlots:
@@ -615,18 +613,24 @@ class TestNarrowSlots:
         (4, [4, 0, 2, 4], 4),   # 2 * 2^32 divides by 4; slot 2 does not
     ])
     def test_exact_division_guard(self, k, slots, d):
-        s = 16
-        x = pack(slots, s)
+        """The remainder of the whole integer is the check, for divisors of
+        k's interpolation: a multiple of d divides whatever its slots hold,
+        and one more raises."""
+        assert d in DIVISORS[k]
+        x = pack(slots, 16)
         assert x % d == 0
+        assert divide(x, d) == x // d
         with pytest.raises(InternalArithmeticError):
-            divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
+            divide(x + 1, d)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_exact_division_of_every_slot(self, k):
+        """Every divisor of k's interpolation divides a packed multiple
+        slot by slot."""
         s = 16
-        guard = _range_check(3, s, s - GUARD[k])
-        q = _exact_div(pack([9, -24, 3], s), 3, guard)
-        assert _unpack(q, 3, s) == [3, -8, 1]
+        for d in DIVISORS[k]:
+            x = pack([d * c for c in (3, -8, 1)], s)
+            assert _unpack(divide(x, d), 3, s) == [3, -8, 1]
 
     @pytest.mark.parametrize("k, slots, d", [
         (3, [1, -1], 2),        # 1 - 2^16 is odd
@@ -636,200 +640,169 @@ class TestNarrowSlots:
         (4, [7, 8], 8),
     ])
     def test_shift_remainder_raises(self, k, slots, d):
-        s = 16
-        x = pack(slots, s)
+        """An integer remainder raises, for divisors k's interpolation
+        takes as a shift."""
+        assert d in DIVISORS[k]
+        x = pack(slots, 16)
         assert x % d
         with pytest.raises(InternalArithmeticError):
-            divide(x, d, _range_check(len(slots), s, s - GUARD[k]))
+            divide(x, d)
 
     @pytest.mark.parametrize("k, d", [
         (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (4, 8)])
     def test_division_at_the_guard_edges(self, k, d):
-        """Quotient slots at both ends of [-2^h, 2^h) pass the guard: every
-        divisor each method uses, at its guard exponent."""
+        """The remainder check at its edges, for every divisor each method
+        uses: d Q divides to Q with quotient slots at both ends of the
+        signed range, and d Q - 1 and d Q + 1 raise."""
+        assert d in DIVISORS[k]
         s = 16
-        h = s - GUARD[k]
-        quotients = [-2 ** h, 2 ** h - 1, 1, 0, -1]
-        guard = _range_check(len(quotients), s, h)
+        quotients = [-2 ** (s - 1), 2 ** (s - 1) - 1, 1, 0, -1]
         x = pack([d * c for c in quotients], s)
-        assert _unpack(divide(x, d, guard), len(quotients), s) == quotients
+        assert _unpack(divide(x, d), len(quotients), s) == quotients
+        for off in (-1, 1):
+            with pytest.raises(InternalArithmeticError):
+                divide(x + off, d)
 
 
 # ---------------------------------------------------------------------------
-# slot headroom at the byte boundary
+# the slot width: the product's bound plus a sign bit, for every method
 # ---------------------------------------------------------------------------
 
-#: Slot bits above the bound the width is taken from, per splitting factor:
-#: Toom-Cook's headroom over the leaf bound V, and for Karatsuba one sign
-#: bit over the largest value it reads.  The growth g of the largest value
-#: per evaluation level (p(1), p(2), p(3) of an all-ones polynomial).
-HEADROOM = {2: 1, 3: 4, 4: 12}
-GROWTH = {2: 2, 3: 7, 4: 40}
+#: (n, cutoff) per k with no padding at any level: cutoff 1 and a tree
+#: with longer leaves, so all-equal operands reach the largest evaluations.
+BOUNDARY_SHAPES = {2: [(64, 1), (64, 16)], 3: [(81, 1), (81, 9)],
+                   4: [(64, 1), (64, 4)]}
 
-#: (n, cutoff) per k with no padding at any level, so the all-equal
-#: operands reach V on the path through the largest points.
-HEADROOM_SHAPES = {2: (64, 16), 3: (81, 9), 4: (64, 4)}
-
-#: Every division of the interpolation is exact on multiples of this.
-DIVISIBLE = 2 ** 10 * 3 ** 3 * 5 ** 2
+#: The points of each splitting factor's evaluation, inf last.
+POINTS = {3: (0, 1, -1, 2), 4: (0, 1, -1, 2, -2, 3)}
 
 
-def headroom_case(k: int, offset: int):
-    """(c, n, cutoff, bound, s): the largest c for which the bound has bit
-    length b with b + HEADROOM[k] = offset mod 8, and s, that sum rounded
-    up to whole bytes.  The bound is V = c^2 g^(2L) leaf_len for Toom-Cook
-    and the product bound c^2 n for Karatsuba, whose operand cuts read at
-    most c 2^L.  At offset 0 the slot has no rounding slack; at offset 1
-    one bit less headroom would make it a byte narrower."""
-    n, cutoff = HEADROOM_SHAPES[k]
-    depth, leaf = 0, n
-    while leaf > cutoff:
-        leaf, depth = -(-leaf // k), depth + 1
-    scale = n if k == 2 else GROWTH[k] ** (2 * depth) * leaf
-    b = 48 + (offset - 48 - HEADROOM[k]) % 8
-    c = math.isqrt((2 ** b - 1) // scale)
-    bound = c * c * scale
-    assert bound.bit_length() == b and (b + HEADROOM[k]) % 8 == offset
-    return c, n, cutoff, bound, (b + HEADROOM[k] + 7) & -8
-
-
-def headroom_plan(k: int, cutoff: int) -> MethodPlan:
+def engine_plan(k: int, cutoff: int) -> MethodPlan:
     return (MethodPlan.karatsuba(base_cutoff=cutoff) if k == 2
             else MethodPlan.toom(k, base_cutoff=cutoff))
 
 
-class LinearForm:
-    """A linear form over Fractions in the interpolation's inputs: the
-    inputs' coefficients, with the operations the interpolation applies."""
+def engine_width(a: Polynomial, b: Polynomial, plan: MethodPlan) -> int:
+    """The slot width the engine packs a and b in for plan, read from its
+    calls to _pack_blocks; the memo is cleared so that both are packed."""
+    widths = set()
+    pack_blocks = multipliers._pack_blocks
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+    def spy(coeffs, ls, s):
+        widths.add(s)
+        return pack_blocks(coeffs, ls, s)
 
-    def __add__(self, other):
-        return LinearForm(map(operator.add, self.coeffs, other.coeffs))
+    _operand_leaves.cache_clear()
+    with mock.patch.object(multipliers, "_pack_blocks", spy):
+        multiply(a, b, plan)
+    (s,) = widths
+    return s
 
-    def __sub__(self, other):
-        return LinearForm(map(operator.sub, self.coeffs, other.coeffs))
 
-    def __rmul__(self, c: int):
-        return LinearForm(c * x for x in self.coeffs)
-
-    def __truediv__(self, d: int):
-        return LinearForm(x / d for x in self.coeffs)
-
-    def reach(self) -> Fraction:
-        """The largest |value| for inputs in [-1, 1]."""
-        return sum(map(abs, self.coeffs))
+def boundary_case(n: int, offset: int) -> tuple[int, int]:
+    """(c, s): the largest c for which the product bound c^2 n has bit
+    length b with b + 1 = offset mod 8, and s, b plus a sign bit rounded up
+    to whole bytes.  At offset 0 the slot has no rounding slack; at offset
+    1 a bound one bit shorter would make it a byte narrower."""
+    b = 48 + (offset - 49) % 8
+    c = math.isqrt((2 ** b - 1) // n)
+    assert (c * c * n).bit_length() == b and (b + 1) % 8 == offset
+    return c, (b + 8) & -8
 
 
 class TestSlotHeadroom:
-    """The slot width of each method, with its largest values at the
-    byte boundary: products of same-sign and alternating-sign operands, and
-    Toom-Cook's interpolation step on every sign pattern of V-bounded
-    inputs.  Karatsuba reads no interpolation slot, so its width comes from
-    the operand cuts and the product alone."""
+    """The one slot width: the bit length of the product bound
+    max|a| max|b| ls plus a sign bit, in whole bytes, for every method.  No
+    slot holds an evaluation or interpolation value, so Toom-Cook needs no
+    headroom above Karatsuba's, and its divisions are checked on whole
+    integers."""
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 40, 40, 40]), (3, [56, 56, 56, 64]), (4, [64, 80, 80, 80])])
+        (2, [40, 40, 40, 40]), (3, [40, 40, 40, 40]), (4, [40, 40, 40, 40])])
     def test_widths_at_q_8192(self, k, widths):
         """The benchmark's sizes N = 256, 512, 768, 1024 at cutoff 16."""
-        assert [_engine_bits(8191, 8191, n, k, 16)
+        assert [engine_width(Polynomial([1] * n, 8192),
+                             Polynomial([1] * n, 8192), engine_plan(k, 16))
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("k, widths", [
-        (2, [40, 40, 40, 40]), (3, [48, 56, 56, 56]), (4, [64, 72, 72, 80])])
+        (2, [40, 40, 40, 40]), (3, [40, 40, 40, 40]), (4, [40, 40, 40, 40])])
     def test_widths_at_q_8192_default_cutoff(self, k, widths):
-        """Fewer levels than at cutoff 16, so narrower slots."""
-        assert [_engine_bits(8191, 8191, n, k, DEFAULT_BASE_CUTOFF)
+        """The tree's depth does not move the width."""
+        plan = engine_plan(k, DEFAULT_BASE_CUTOFF)
+        assert [engine_width(Polynomial([1] * n, 8192),
+                             Polynomial([1] * n, 8192), plan)
                 for n in (256, 512, 768, 1024)] == widths
 
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_width_at_the_boundary(self, k, offset):
-        c, n, cutoff, _, s = headroom_case(k, offset)
-        assert _engine_bits(c, c, n, k, cutoff) == s
+        for n, cutoff in BOUNDARY_SHAPES[k]:
+            c, s = boundary_case(n, offset)
+            same = Polynomial([c] * n)
+            assert engine_width(same, same, engine_plan(k, cutoff)) == s
 
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_engine_products(self, k, offset):
-        c, n, cutoff, _, _ = headroom_case(k, offset)
-        same = Polynomial([c] * n)
-        alternating = Polynomial([(-1) ** i * c for i in range(n)])
-        plan = headroom_plan(k, cutoff)
-        for a, b in ((same, same), (alternating, alternating),
-                     (same, alternating)):
-            assert multiply(a, b, plan) == schoolbook_mul(a, b)
+        """Same-sign operands put c^2 n in the product's middle slot, a
+        negated one -c^2 n, and alternating signs drive the evaluations at
+        the negative points furthest."""
+        for n, cutoff in BOUNDARY_SHAPES[k]:
+            c, _ = boundary_case(n, offset)
+            same, negated = Polynomial([c] * n), Polynomial([-c] * n)
+            alternating = Polynomial([(-1) ** i * c for i in range(n)])
+            plan = engine_plan(k, cutoff)
+            for a, b in ((same, same), (alternating, alternating),
+                         (same, alternating), (negated, same),
+                         (negated, alternating)):
+                assert multiply(a, b, plan) == schoolbook_mul(a, b)
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_operand_cut_bound(self, offset):
-        """|b| = 1 and a = c = 2^t: the cuts' bound c 2^L is one bit longer
-        than the product bound c n (n = 2^j + 1 pads to 2^L = 2n - 2 at
-        cutoff 1), and at offset 1 that bit costs a byte; the products stay
-        exact at that width."""
+        """|b| = 1 and a = c = 2^t: the bound c 2^L of Karatsuba's former
+        slot cuts is one bit longer than the product bound c n (n = 2^j + 1
+        pads to 2^L = 2n - 2 at cutoff 1), and at offset 1 that bit cost a
+        byte.  The width is the product's for every method, and the
+        products stay exact."""
         n, cutoff, depth, c = 33, 1, 6, 2 ** (8 + offset)
         cut_bits, product_bits = (c << depth).bit_length(), (c * n).bit_length()
         assert cut_bits == product_bits + 1 and (cut_bits + 1) % 8 == offset
-        s = _engine_bits(c, 1, n, 2, cutoff)
-        assert s == (cut_bits + 1 + 7) & -8
-        assert s == ((product_bits + 1 + 7) & -8) + 8 * (offset == 1)
-        plan = headroom_plan(2, cutoff)
         same, ones = Polynomial([c] * n), Polynomial([1] * n)
         alternating = Polynomial([(-1) ** i * c for i in range(n)])
-        for a in (same, alternating):
-            assert multiply(a, ones, plan) == schoolbook_mul(a, ones)
+        for k in (2, 3, 4):
+            plan = engine_plan(k, cutoff)
+            s = engine_width(same, ones, plan)
+            assert s == (product_bits + 8) & -8
+            assert s == ((cut_bits + 8) & -8) - 8 * (offset == 1)
+            for a in (same, alternating):
+                assert multiply(a, ones, plan) == schoolbook_mul(a, ones)
 
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("k", [3, 4])
     def test_interpolation(self, k, offset):
-        """Inputs of magnitude up to V in every sign pattern, one slot per
-        pattern, give the same slices in the engine's slots as in slots
-        four times as wide; no division guard fires."""
-        c, n, cutoff, bound, _ = headroom_case(k, offset)
-        s = _engine_bits(c, c, n, k, cutoff)
-        steps, edge = _STEPS[k], bound - bound % DIVISIBLE
-        signs = list(itertools.product((-1, 1), repeat=2 * k - 1))
-        inputs = [[p[j] * edge for p in signs] for j in range(2 * k - 1)]
+        """The values at k's points of an integer polynomial R, whose
+        coefficients are at the boundary's product bound in every sign
+        pattern, interpolate to R's coefficients: every division is exact
+        on the integers."""
+        n, _ = BOUNDARY_SHAPES[k][-1]
+        c, _ = boundary_case(n, offset)
+        for signs in itertools.product((-1, 1), repeat=2 * k - 1):
+            r = [sign * c * c * n for sign in signs]
+            values = [sum(ri * t ** i for i, ri in enumerate(r))
+                      for t in POINTS[k]] + [r[-1]]
+            assert list(_STEPS[k].interpolate(values)) == r
 
-        def slices(width):
-            guard = _range_check(len(signs), width, width - steps.guard)
-            out = steps.interpolate([pack(v, width) for v in inputs], guard)
-            return [_unpack(x, len(signs), width) for x in out]
-
-        assert slices(s) == slices(4 * s)
-
-    @pytest.mark.parametrize("k, dividend, quotient", [
-        (3, Fraction(8, 3), Fraction(4, 3)), (4, 392, Fraction(392, 3))])
-    def test_headroom_is_the_tightest_fit(self, k, dividend, quotient,
-                                          monkeypatch):
-        """Run the interpolation on linear forms in its 2k-1 inputs, with
-        exact-division stubs that record every dividend and quotient.  On
-        inputs in [-V, V] a form reaches V times the sum of its
-        |coefficients|.  A value of at most D V fits a signed slot when
-        D <= 2^(headroom-1), and a quotient of at most Q V passes the guard
-        h = s - guard when Q <= 2^(headroom-guard); the headroom is the
-        least that does both."""
-        dividends, quotients = [], []
-
-        def exact_div(x, d, guard):
-            dividends.append(x.reach())
-            q = x / d
-            quotients.append(q.reach())
-            return q
-
-        monkeypatch.setattr(multipliers, "_exact_div", exact_div)
-        monkeypatch.setattr(multipliers, "_exact_shift",
-                            lambda x, t, guard: exact_div(x, 1 << t, guard))
-        steps, n = _STEPS[k], 2 * k - 1
-        steps.interpolate([LinearForm(Fraction(i == j) for j in range(n))
-                           for i in range(n)], None)
-        assert (max(dividends), max(quotients)) == (dividend, quotient)
-
-        def fits(headroom):
-            return (dividend <= 2 ** (headroom - 1)
-                    and quotient <= 2 ** (headroom - steps.guard))
-
-        assert fits(steps.headroom) and not fits(steps.headroom - 1)
-        assert HEADROOM[k] == steps.headroom
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_inexact_division_raises(self, k):
+        """One value off by one is no integer polynomial's: a division
+        leaves an integer remainder and raises."""
+        r = list(range(1, 2 * k))
+        values = [sum(ri * t ** i for i, ri in enumerate(r))
+                  for t in POINTS[k]] + [r[-1]]
+        values[1] += 1
+        with pytest.raises(InternalArithmeticError):
+            _STEPS[k].interpolate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -898,11 +871,10 @@ class TestResultReduction:
 
     @pytest.mark.parametrize("plan", PLANS + DEFAULT_PLANS, ids=plan_id)
     def test_one_byte_slots(self, plan):
-        """q = 2: Karatsuba's slots are one byte wide up to length 63."""
-        for n in (1, 2, 17, 33, 63):
-            if plan.k == 2:
-                assert _engine_bits(1, 1, n, 2, plan.base_cutoff) == 8
+        """q = 2: every method's slots are one byte wide up to length 127."""
+        for n in (1, 2, 17, 33, 63, 127):
             a = Polynomial([1] * n, 2)
+            assert engine_width(a, a, plan) == 8
             b = Polynomial.random(n, 2, seed=n, modulus=2)
             assert_schoolbook_product(a, b, plan)
             assert_schoolbook_product(a, a, plan)
@@ -965,10 +937,11 @@ class TestLeafMemo:
 
     def test_memo_keys_the_splitting_factor(self):
         """Karatsuba and Toom-3 at cutoff 16 give N = 20, q = 4 the same
-        16-bit slots, so only k tells the two plans' trees apart."""
+        16-bit slots, as every method does, so only k tells the two plans'
+        trees apart."""
         karatsuba, toom3 = ENGINE_PLANS[:2]
-        assert _engine_bits(3, 3, 20, 2, 16) == _engine_bits(3, 3, 20, 3, 16)
         a = Polynomial.random(20, 4, seed=3, modulus=4)
+        assert engine_width(a, a, karatsuba) == engine_width(a, a, toom3) == 16
         b = Polynomial.random(20, 4, seed=4, modulus=4)
         _operand_leaves.cache_clear()
         for plan in (karatsuba, toom3, karatsuba):

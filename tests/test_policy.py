@@ -4,7 +4,8 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import asdict
+import statistics
+from dataclasses import asdict, astuple
 
 import pytest
 
@@ -144,13 +145,13 @@ class TestCalibrate:
         assert table.default_plan == KARATSUBA
 
     def test_band_of_two_degrees_pools_every_record(self):
-        """A plan's time at a load is the mean over every record of the
-        band, not the mean of its per-degree cell means."""
+        """A plan's time at a load is the median over every record of the
+        band, not the mean of its per-degree cell medians."""
         runs = {  # plan -> load -> {degree: elapsed_ns of each run}
             TOOM_PAR: {l: {512: (10, 10), 520: (10,)} for l in (0, 10, 20)},
             TOOM_SEQ: {l: {512: (100,), 520: (100,)} for l in (0, 10, 20)},
             KARATSUBA: {0: {512: (20,), 520: (20, 20, 20)},
-                        10: {512: (2,), 520: (14, 14, 14)},
+                        10: {512: (2, 2, 11), 520: (11, 14, 14)},
                         20: {512: (2,), 520: (2, 2, 2)}}}
         records = [
             BenchmarkRecord(method=plan.method, k=plan.k,
@@ -165,7 +166,7 @@ class TestCalibrate:
         (entry,) = calibrate(records, [(500, 600)]).entries
         # Karatsuba minus parallel: 10, 11 - 10 = 1 and -8 ns at loads 0,
         # 10 and 20, so the crossover is 1/9 of the way from 10 to 20.  The
-        # mean of the cell means at load 10, (2 + 14) / 2 = 8, would put
+        # mean of the cell medians at load 10, (2 + 14) / 2 = 8, would put
         # it at 10 * 10/12, and either degree alone at 10 * 10/18 or
         # 10 + 10 * 4/12.
         assert entry.threshold_parallel_vs_karatsuba_pct == 10 + 10 * (1 / 9)
@@ -258,6 +259,20 @@ class TestSelectMethod:
             plan = select_method(table, SystemState(512, load, 1))
             assert plan == KARATSUBA
 
+    def test_single_core_runs_the_bands_karatsuba_plan(self):
+        """Karatsuba c16 calibrated at degree 256 and c48 at 512: one core
+        at 512 runs c48, the plan priced there, not the default c16."""
+        curves = linear_curves(LOADS)
+        records = records_from_curves(curves, degree=256)
+        curves[KARATSUBA_C48] = curves.pop(KARATSUBA)
+        records += records_from_curves(curves, degree=512)
+        table = calibrate(records, [(256, 256), (512, 512)])
+        assert table.default_plan == KARATSUBA
+        for degree, plan in ((256, KARATSUBA), (512, KARATSUBA_C48)):
+            for load in (0, 25, 99.5):
+                assert select_method(
+                    table, SystemState(degree, load, 1)) == plan
+
     def test_below_threshold_parallel(self):
         plan = select_method(make_table(), SystemState(512, 10, 5))
         assert plan == TOOM_PAR
@@ -328,9 +343,10 @@ class TestTimeModel:
         assert model.predict(KARATSUBA, 512, 50) == 10e6 + 0.02e6 * 50
 
     def test_exact_at_interior_sample_with_inexact_means(self):
-        """Means 13/3, 37/3 and 20 ns: interpolating up to load 10 from
-        load 0 gives 12.333333333333332, not the sample's own 37/3."""
-        times = {0: (4, 4, 5), 10: (12, 12, 13), 20: (20, 20, 20)}
+        """Cells whose means are inexact, 13/3 and 51/4 ns, read as their
+        medians, 4 and 12.5 ns, at the sampled loads; an even cell's median
+        is the mean of its middle two runs."""
+        times = {0: (4, 4, 5), 10: (12, 12, 13, 14), 20: (20, 20, 20)}
         model = TimeModel.from_records([
             BenchmarkRecord(method=KARATSUBA.method, k=KARATSUBA.k,
                             workers=1, base_cutoff=KARATSUBA.base_cutoff,
@@ -338,11 +354,12 @@ class TestTimeModel:
                             elapsed_ns=ns, mult_count=1000)
             for load, run in times.items() for i, ns in enumerate(run)])
         assert [model.predict(KARATSUBA, 512, load)
-                for load in (0, 10, 20)] == [13 / 3, 37 / 3, 20.0]
+                for load in (0, 10, 20)] == [4.0, 12.5, 20.0]
 
-    def test_exact_at_samples_is_the_aggregate_mean(self):
-        """At every sampled cell, predict equals aggregate's mean_ns, on
-        uneven cells of one to four runs whose means are not integers."""
+    def test_exact_at_samples_is_the_cell_median(self):
+        """At every sampled cell, predict equals the median of the cell's
+        runs, on uneven cells of one to four runs, some of whose medians
+        are not integers, and lies within aggregate's min and max."""
         rng = random.Random(23)
         records = [
             BenchmarkRecord(method=plan.method, k=plan.k,
@@ -358,10 +375,16 @@ class TestTimeModel:
         model, stats = TimeModel.from_records(records), aggregate(records)
         assert len(stats) == 3 * 2 * len(LOADS)
         assert len({s.runs for s in stats}) == 4
-        assert any(s.mean_ns != int(s.mean_ns) for s in stats)
+        medians = []
         for s in stats:
             plan = MethodPlan(s.method, s.k, s.workers, s.base_cutoff)
-            assert model.predict(plan, s.degree, s.load_pct) == s.mean_ns
+            medians.append(statistics.median(
+                r.elapsed_ns for r in records
+                if (r.method, r.k, r.workers, r.base_cutoff, r.degree,
+                    r.load_pct) == (*astuple(plan), s.degree, s.load_pct)))
+            got = model.predict(plan, s.degree, s.load_pct)
+            assert got == medians[-1] and s.min_ns <= got <= s.max_ns
+        assert any(m != int(m) for m in medians)
 
     def test_linear_midpoint(self):
         records = records_from_curves({
@@ -534,12 +557,12 @@ class TestPersistence:
             load_rules(path)
 
 
-#: SHA-256 of cell_table_snapshot(), pinned while cells were keyed by the
-#: plan's fields: aggregate's rows, the rule JSON under both band sets and
-#: predict at every sampled (plan, degree, load) and between them.  A new
-#: cell statistic (say, the median) changes it, and must do so on purpose.
+#: SHA-256 of cell_table_snapshot(), pinned when a cell's time became the
+#: median of its runs: aggregate's rows, the rule JSON under both band
+#: sets and predict at every sampled (plan, degree, load) and between
+#: them.  A new cell statistic changes it, and must do so on purpose.
 CELL_TABLE_SHA256 = \
-    "ac8358f6a86477eaa5b86fa79c0283e507d603b6787b19ffb28f95fbf1172957"
+    "e7abf4f04a7287113059dec85ba65c99235d55ca82d4380c579a994b7b9d7440"
 
 IDENTITY_BANDS = ([(256, 256), (512, 512), (768, 768)],
                   [(1, 384), (385, 1024)])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -228,6 +229,27 @@ class TestRun:
         assert report.total_handovers > 0
         assert {label for m in report.per_mec for label in m.plan_counts} \
             == {KARATSUBA.label}
+
+    def test_single_core_node_runs_its_bands_karatsuba_plan(self):
+        """Karatsuba c16 calibrated at degree 256 and c48 at 512: a
+        single-core node at degree 512 runs c48, the only Karatsuba plan the
+        model prices there, so the run completes and prices every handover
+        as a fixed c48 run does."""
+        c48 = replace(KARATSUBA, base_cutoff=48)
+        curves = linear_curves(LOADS)
+        records = records_from_curves(curves, degree=256)
+        curves[c48] = curves.pop(KARATSUBA)
+        records += records_from_curves(curves, degree=512)
+        table = calibrate(records, [(256, 256), (512, 512)])
+        model = TimeModel.from_records(records)
+        scenario = make_scenario(mec_nodes=(
+            MecNode(cores=1, load_trace=((0, 0), (30_000, 50))),))
+        report = run_simulation(scenario, table, model)
+        fixed = run_simulation(
+            replace(scenario, policy_mode="fixed_plan", fixed_plan=c48),
+            None, model)
+        assert report.total_handovers == fixed.total_handovers > 0
+        assert report.mean_latency_ms == fixed.mean_latency_ms
 
 
 class TestRender:
