@@ -15,7 +15,7 @@ or Karatsuba at every load on a single core or on too few cores (the
 band's Karatsuba plan) and at a degree no band covers (the table's
 default plan).  Hysteresis then widens the threshold in favor of
 the previous plan.  Sequential Toom-Cook is calibrated and reported but
-never selected - at one worker it is dominated by Karatsuba.
+never selected: the sequential plan is always Karatsuba.
 
 The rule file is JSON (schema in table_to_dict), read and written through
 jsonfile, and survives save -> load -> save byte-identically.
